@@ -32,12 +32,15 @@ def fta_update(offsets: Sequence[float]) -> float:
     One maximum and one minimum are discarded (exactly one each, even
     under ties), which masks any single arbitrarily wrong path at the
     cost of a noisier estimate.  Requires at least three paths so the
-    trimmed set is non-empty.
+    trimmed set is non-empty.  The mean is clamped into the range of the
+    kept reports, which rounding can leave by an ulp (three equal values
+    may average to one ulp above their value).
     """
     if len(offsets) < 3:
         raise ValueError("fault-tolerant averaging needs at least three paths")
     kept = sorted(offsets)[1:-1]
-    return -sum(kept) / len(kept)
+    mean = sum(kept) / len(kept)
+    return -min(max(mean, kept[0]), kept[-1])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,10 @@ Three construction variants are supported:
 The caps are what keep one corrupted input from dominating the fused
 result -- the classic failure mode of the unclamped rule under highly
 conflicting sources.
+
+In log-odds ``log(attack / normal)`` the rule is addition and the caps
+are clips of each term; :func:`timefuse.fusion.classify_paths` fuses in
+that form.  The mass-level functions here remain the reference algebra.
 """
 
 from __future__ import annotations
@@ -67,9 +71,10 @@ VARIANTS = ("DS0", "DS1", "DS2")
 class TotalConflictError(ValueError):
     """Two masses were in total conflict, so the combination is undefined.
 
-    This only happens when one operand is pure ``attack`` and the other
-    pure ``normal``; it is unreachable while masses are clamped into the
-    open interval (0, 1).
+    Only a direct :func:`combine` (or :func:`combine_all`) of a pure
+    ``attack`` mass with a pure ``normal`` one raises it.  The path
+    classifier adds log-odds instead of combining masses, so saturated
+    residual evidence never reaches this rule.
     """
 
 

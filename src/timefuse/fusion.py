@@ -7,8 +7,12 @@ paths cancels the shared clock terms, so a bias on either path shows up
 in the difference; the self residual catches the case where every path
 is biased the same way it is.  Each residual becomes an attack/normal
 mass through its channel's calibration and the masses are fused with
-Dempster's rule.  A path is flagged when the fused attack mass strictly
-exceeds one half.
+Dempster's rule.  On the two-singleton frame that rule adds log-odds, and
+the DS1/DS2 mass clamps clip each term, so one epoch is classified at
+once: the N x N residual matrix (self residuals on the diagonal) goes
+through the per-channel logistic shape, is clipped, and each row sums to
+its path's fused log-odds.  A path is flagged when that sum is strictly
+positive, i.e. when its fused attack mass exceeds one half.
 
 The steering correction is the negated mean of the unflagged reports;
 when everything is flagged the clock coasts on the frequency estimate
@@ -20,18 +24,19 @@ by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ._util import ols_slope
+import numpy as np
+
+from ._util import logistic, ols_slope
 from .clocksim import NoiseConfig
 from .evidence import (
     Calibration,
     DEFAULT_STEEPNESS_LOG_ODDS,
+    VARIANTS,
     MassPair,
-    bpa_from_residual,
     calibrate,
-    combine_all,
 )
 
 __all__ = [
@@ -82,6 +87,15 @@ class EpochRecord:
             raise ValueError("need exactly one verdict per observation")
 
 
+def _logit(p: float) -> float:
+    """Log-odds of ``p``; a clamp at 0 or 1 clips nothing, so it maps to -inf/+inf."""
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return math.log(p / (1.0 - p))
+
+
 @dataclass(frozen=True)
 class CalibrationSet:
     """Calibrations for every residual channel of an N-path detector.
@@ -89,10 +103,36 @@ class CalibrationSet:
     ``self_cal[i]`` covers path i's self residual; ``cross_cal`` maps the
     unordered pair ``(min(i, j), max(i, j))`` to the calibration of the
     i-vs-j cross residual.
+
+    The same channels are also laid out as N x N tables for
+    :func:`classify_paths`: cell ``(i, j)`` holds the i-vs-j cross channel
+    and the diagonal holds the self channels.  ``steepness`` and
+    ``midpoint`` give each channel's log-odds ``steepness * (r - midpoint)``
+    for a residual ``r``; ``log_ceiling`` and ``log_floor`` are the
+    log-odds of its mass clamps.
     """
 
     self_cal: tuple
     cross_cal: Mapping
+    steepness: np.ndarray = field(init=False, repr=False, compare=False)
+    midpoint: np.ndarray = field(init=False, repr=False, compare=False)
+    log_ceiling: np.ndarray = field(init=False, repr=False, compare=False)
+    log_floor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.self_cal)
+        channels = [
+            [self.self_cal[i] if i == j else self.for_pair(i, j) for j in range(n)]
+            for i in range(n)
+        ]
+
+        def table(value) -> np.ndarray:
+            return np.array([[value(c) for c in row] for row in channels], dtype=float)
+
+        object.__setattr__(self, "steepness", table(lambda c: c.steepness))
+        object.__setattr__(self, "midpoint", table(lambda c: c.midpoint))
+        object.__setattr__(self, "log_ceiling", table(lambda c: _logit(c.mass_ceiling)))
+        object.__setattr__(self, "log_floor", table(lambda c: _logit(c.mass_floor)))
 
     def for_pair(self, i: int, j: int) -> Calibration:
         return self.cross_cal[(i, j) if i < j else (j, i)]
@@ -180,26 +220,34 @@ def classify_paths(
     variant: str = "DS2",
     epoch: int = 0,
 ) -> list:
-    """Fuse per-path evidence and flag paths whose attack mass exceeds one half.
+    """Fuse per-path evidence and flag paths whose fused log-odds are positive.
 
-    Flagging uses a strict comparison, so an exactly balanced fused mass
-    does not flag.  Verdict order follows path order.
+    Row i of the residual matrix holds path i's cross residuals against
+    every other path, with its self residual on the diagonal.  Each cell's
+    log-odds are clipped to the channel's clamps (DS1: ceiling only, DS2:
+    both, DS0: none) and a row's sum is the path's fused log-odds.  An
+    exactly balanced sum does not flag.  Verdict order follows path order.
     """
-    n = len(offsets)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    x = np.asarray(offsets, dtype=float)
+    if x.shape != (len(calibrations.self_cal),):
+        raise ValueError(
+            f"got {x.size} offsets for {len(calibrations.self_cal)} calibrated paths"
+        )
+    residuals = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(residuals, np.abs(x - drift * tau))
+    if not np.isfinite(residuals).all():
+        raise ValueError("residuals must be finite")
+    log_odds = calibrations.steepness * (residuals - calibrations.midpoint)
+    if variant != "DS0":
+        np.minimum(log_odds, calibrations.log_ceiling, out=log_odds)
+    if variant == "DS2":
+        np.maximum(log_odds, calibrations.log_floor, out=log_odds)
     verdicts = []
-    for i in range(n):
-        residuals = residuals_for_path(i, offsets, drift, tau)
-        masses = [bpa_from_residual(residuals[0], calibrations.self_cal[i], variant)]
-        k = 1
-        for j in range(n):
-            if j == i:
-                continue
-            masses.append(
-                bpa_from_residual(residuals[k], calibrations.for_pair(i, j), variant)
-            )
-            k += 1
-        fused = combine_all(masses)
-        verdicts.append(Verdict(i, epoch, fused, fused.attack > 0.5))
+    for i, s in enumerate(log_odds.sum(axis=1).tolist()):
+        m = logistic(s)
+        verdicts.append(Verdict(i, epoch, MassPair(m, 1.0 - m), s > 0.0))
     return verdicts
 
 

@@ -37,6 +37,11 @@ class TestFtaUpdate:
         kept = sorted(xs)[1:-1]
         assert min(kept) <= -fta_update(xs) <= max(kept)
 
+    def test_mean_of_equal_inner_values_does_not_round_past_them(self):
+        # the plain mean of these three equal floats rounds one ulp up
+        x = 6.76107254608936e-07
+        assert -fta_update([0.0, x, x, x, x]) == x
+
 
 class TestMakeSingleState:
     def test_threshold_from_path_noise(self):

@@ -4,18 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from timefuse import (
     VACUOUS,
+    VARIANTS,
     EpochRecord,
     FrequencyEstimate,
     MassPair,
     NoiseConfig,
     Verdict,
+    bpa_from_residual,
     build_calibration_set,
     classify_paths,
+    combine_all,
     compute_update,
     estimate_frequency,
     residual_sigmas,
@@ -144,6 +147,61 @@ class TestClassifyPaths:
             assert shuffled[new_id].fused.attack == pytest.approx(
                 base[old_id].fused.attack, abs=1e-9
             )
+
+
+def scalar_channel_masses(offsets, calibrations, drift, tau, variant):
+    """Reference per-cell evidence: one mass per channel, self first, then partners."""
+    n = len(offsets)
+    masses = []
+    for i in range(n):
+        residuals = residuals_for_path(i, offsets, drift, tau)
+        partners = [j for j in range(n) if j != i]
+        row = [bpa_from_residual(residuals[0], calibrations.self_cal[i], variant)]
+        row += [
+            bpa_from_residual(r, calibrations.for_pair(i, j), variant)
+            for r, j in zip(residuals[1:], partners)
+        ]
+        masses.append(row)
+    return masses
+
+
+#: Mass clamps (ceiling, floor); 1.0 and 0.0 leave that side unclipped.
+CLAMPS = [(0.74, 0.26), (0.9, 0.1), (1.0, 0.26), (0.74, 0.0), (1.0, 0.0)]
+
+
+@st.composite
+def detector_inputs(draw):
+    n = draw(st.integers(2, 12))
+    sigmas = st.lists(st.floats(5e-12, 60e-12), min_size=n, max_size=n)
+    noise = NoiseConfig(10e-12, 1e-12, tuple(draw(sigmas)), tuple(draw(sigmas)), tau=1.0)
+    rate = draw(st.sampled_from([1e-6, 1e-3, 0.05]))
+    ceiling, floor = draw(st.sampled_from(CLAMPS))
+    calib = build_calibration_set(noise, rate, rate, mass_ceiling=ceiling, mass_floor=floor)
+    offsets = draw(st.lists(st.floats(-3e-10, 3e-10), min_size=n, max_size=n))
+    drift = draw(st.floats(-1e-10, 1e-10))
+    return offsets, calib, drift, draw(st.sampled_from(VARIANTS))
+
+
+class TestKernelMatchesScalarReference:
+    """The log-odds kernel against Dempster's rule folded over per-cell masses."""
+
+    @settings(max_examples=300)
+    @given(detector_inputs())
+    def test_flags_and_fused_mass(self, inputs):
+        offsets, calib, drift, variant = inputs
+        masses = scalar_channel_masses(offsets, calib, drift, 1.0, variant)
+        # Saturated cells make the product rule undefined or degenerate, and
+        # near saturation its ``1 - m`` keeps only ~1e-16 / (1 - m) relative
+        # precision; a margin of 1e-6 bounds the reference's own error on a
+        # fused mass by 12 * 1.1e-10 / 4, below the 1e-9 tolerance.  A fused
+        # mass at one half is a rounding coin toss.
+        assume(all(1e-6 < m.attack < 1.0 - 1e-6 for row in masses for m in row))
+        fused = [combine_all(row) for row in masses]
+        assume(all(abs(f.attack - 0.5) > 1e-9 for f in fused))
+        verdicts = classify_paths(offsets, calib, drift, 1.0, variant)
+        assert [v.flagged for v in verdicts] == [f.attack > 0.5 for f in fused]
+        for v, f in zip(verdicts, fused):
+            assert v.fused.attack == pytest.approx(f.attack, abs=1e-9)
 
 
 class TestComputeUpdate:

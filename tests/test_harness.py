@@ -1,6 +1,10 @@
 """Tests for scenario configuration, the epoch loop, CSV emission, and sweeps."""
 
+import hashlib
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,65 @@ class TestRunScenario:
         sc = Scenario(name="blip", n_paths=3, n_epochs=5, method="FTA")
         result = run_scenario(sc)
         assert result.tdev is None
+
+    def test_saturated_unclamped_evidence_runs_to_completion(self):
+        # at this steepness the logistic of many residuals rounds to exactly
+        # 0 or 1, which folding masses with Dempster's rule cannot combine
+        sc = replace(preset("fig3", method="DS0"), steepness_log_odds=800.0)
+        result = run_scenario(sc)
+        assert len(result.records) == sc.n_epochs
+        assert result.counts.false_negatives == 0
+
+    def test_quarantine_keeps_a_flagged_path_out_for_k_epochs(self):
+        k = 3
+        sc = Scenario(
+            name="quarantine",
+            n_paths=5,
+            n_epochs=200,
+            seed=2,
+            quarantine=k,
+            attack_rules=(PeriodicAttackRule((2,), 100.0, 60.0, 10e-9),),
+        )
+        records = run_scenario(sc).records
+        flagged = [[v.flagged for v in r.verdicts] for r in records]
+        assert [(e, i) for e, row in enumerate(flagged) for i, f in enumerate(row) if f] == [
+            (60, 2),
+            (160, 2),
+        ]
+
+        def steered_by(epoch):
+            """Paths the correction of ``epoch`` is the negated mean of."""
+            offsets = [o.measured_offset for o in records[epoch].observations]
+            matches = [
+                paths
+                for paths in (range(5), [0, 1, 3, 4])
+                if records[epoch].correction == -sum(offsets[i] for i in paths) / len(paths)
+            ]
+            assert len(matches) == 1
+            return list(matches[0])
+
+        for flag_epoch in (60, 160):
+            for epoch in range(flag_epoch, flag_epoch + k + 1):
+                assert steered_by(epoch) == [0, 1, 3, 4]
+            assert steered_by(flag_epoch + k + 1) == [0, 1, 2, 3, 4]
+            assert steered_by(flag_epoch - 1) == [0, 1, 2, 3, 4]
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+@pytest.fixture(scope="module")
+def golden_preset_runs():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["preset_sweep"]
+
+
+@pytest.mark.parametrize("method", ["DS0", "DS1", "DS2"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_csv_bytes_match_the_committed_digests(name, method, golden_preset_runs):
+    sc = preset(name, method=method, seed=1)
+    text = run_csv_text(sc, run_scenario(sc).records)
+    expected = golden_preset_runs[f"{name}_{method}_seed1"]["csv"]
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 class TestCsvRoundTrip:
