@@ -27,22 +27,40 @@ def norm_cdf(t: float) -> float:
     return _STD_NORMAL.cdf(t)
 
 
+def centred_axis(ts: Sequence[float]) -> tuple:
+    """``(dts, sxx)``: the time axis minus its mean and its sum of squares.
+
+    This is the part of an ordinary least-squares fit that depends only on
+    the timestamps, so a caller fitting many series on one axis computes
+    it once and passes it to :func:`slope_on_axis`.
+    """
+    t_mean = math.fsum(ts) / len(ts)
+    dts = [t - t_mean for t in ts]
+    sxx = 0.0
+    for dt in dts:
+        sxx += dt * dt
+    if sxx == 0.0:
+        raise ValueError("degenerate time axis: all timestamps identical")
+    return dts, sxx
+
+
+def slope_on_axis(axis: tuple, xs: Sequence[float]) -> float:
+    """Least-squares slope of ``xs`` against a :func:`centred_axis`."""
+    dts, sxx = axis
+    if len(xs) != len(dts):
+        raise ValueError("need one value per timestamp")
+    x_mean = math.fsum(xs) / len(xs)
+    sxy = 0.0
+    for dt, x in zip(dts, xs):
+        sxy += dt * (x - x_mean)
+    return sxy / sxx
+
+
 def ols_slope(ts: Sequence[float], xs: Sequence[float]) -> float:
     """Ordinary least-squares slope of ``xs`` against ``ts``.
 
     Requires at least two points and a non-degenerate time axis.
     """
-    n = len(ts)
-    if n < 2 or n != len(xs):
+    if len(ts) < 2 or len(ts) != len(xs):
         raise ValueError("need at least two (t, x) pairs of equal length")
-    t_mean = math.fsum(ts) / n
-    x_mean = math.fsum(xs) / n
-    sxy = 0.0
-    sxx = 0.0
-    for t, x in zip(ts, xs):
-        dt = t - t_mean
-        sxy += dt * (x - x_mean)
-        sxx += dt * dt
-    if sxx == 0.0:
-        raise ValueError("degenerate time axis: all timestamps identical")
-    return sxy / sxx
+    return slope_on_axis(centred_axis(ts), xs)

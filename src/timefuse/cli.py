@@ -107,18 +107,19 @@ def _cmd_calibrate(args) -> int:
 def _cmd_report(args) -> int:
     for k, name in enumerate(args.csv):
         parsed = parse_run_csv(name)
+        stats = parsed_stats(parsed)
+        summary = summarize_parsed(parsed, stats)
         if k:
             print()
-        print(summarize_parsed(parsed), end="")
+        print(summary, end="")
         if args.out is not None:
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             stem = f"{parsed.name}_{parsed.method}_seed{parsed.seed}"
-            _, _, curve = parsed_stats(parsed)
             summary_path = out_dir / f"{stem}_summary.txt"
-            summary_path.write_text(summarize_parsed(parsed), encoding="utf-8", newline="\n")
+            summary_path.write_text(summary, encoding="utf-8", newline="\n")
             plot_path = out_dir / f"{stem}_tdev.csv"
-            plot_path.write_text(plotdata_text(curve), encoding="utf-8", newline="\n")
+            plot_path.write_text(plotdata_text(stats[2]), encoding="utf-8", newline="\n")
             print(f"wrote {summary_path}")
             print(f"wrote {plot_path}")
     return EXIT_OK

@@ -24,7 +24,9 @@ and one per path, in path order, so every (path, epoch) draw is
 reproducible regardless of how the caller interleaves other streams.
 Within a stream the draw order is fixed: the clock stream yields the
 phase increment then the frequency increment each epoch; a path stream
-yields the link term then the measurement term.
+yields the link term then the measurement term.  :func:`draw_noise`
+draws a whole run's terms at once, in that order, so they equal the
+per-epoch draws of :func:`step_clock` and :func:`observe_path`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "PeriodicJumpRule",
     "RngStreams",
     "build_schedule",
+    "draw_noise",
     "observe_path",
     "step_clock",
 ]
@@ -213,6 +216,15 @@ class EventSchedule:
     def attacked_paths(self, epoch: int) -> tuple:
         return tuple(sorted(p for (p, e) in self._attack_map if e == epoch))
 
+    def attack_matrix(self, n_paths: int) -> np.ndarray:
+        """Active attack magnitude of every (epoch, path) cell, ``(n_epochs, n_paths)``."""
+        matrix = np.zeros((self.n_epochs, n_paths))
+        for (path, epoch), magnitude in self._attack_map.items():
+            if not 0 <= path < n_paths:
+                raise ValueError(f"attack on path {path} outside 0..{n_paths - 1}")
+            matrix[epoch, path] = magnitude
+        return matrix
+
 
 def _rule_epochs(period_s: float, phase_s: float, n_epochs: int, tau: float) -> range:
     """Epoch indices hit by a periodic rule; period and phase must be whole epochs."""
@@ -281,6 +293,36 @@ class RngStreams:
 
     def path(self, i: int) -> np.random.Generator:
         return self.paths[i]
+
+
+def _scaled_normals(rng: np.random.Generator, n_epochs: int, sigmas) -> np.ndarray:
+    """``n_epochs`` rows of one stream's draws, column k scaled by ``sigmas[k]``.
+
+    ``rng.normal(0.0, s)`` returns ``0.0 + s * z``; adding the 0.0 as it
+    does keeps a zero sigma from turning a negative ``z`` into ``-0.0``.
+    """
+    return rng.standard_normal((n_epochs, len(sigmas))) * np.asarray(sigmas) + 0.0
+
+
+def draw_noise(noise: NoiseConfig, rngs: RngStreams, n_epochs: int) -> tuple:
+    """Every random term of an ``n_epochs`` run, drawn up front.
+
+    Returns ``(clock, link, meas)``: ``clock`` is ``(n_epochs, 2)``, the
+    phase-walk and frequency-walk increments of each epoch; ``link`` and
+    ``meas`` are ``(n_epochs, n_paths)``.  Each stream yields exactly the
+    values that one :func:`step_clock` or :func:`observe_path` call per
+    epoch would draw from it.
+    """
+    clock = _scaled_normals(rngs.clock, n_epochs, (noise.sigma_offset, noise.sigma_drift))
+    link = np.empty((n_epochs, noise.n_paths))
+    meas = np.empty((n_epochs, noise.n_paths))
+    for i in range(noise.n_paths):
+        draws = _scaled_normals(
+            rngs.path(i), n_epochs, (noise.sigma_link[i], noise.sigma_meas[i])
+        )
+        link[:, i] = draws[:, 0]
+        meas[:, i] = draws[:, 1]
+    return clock, link, meas
 
 
 def step_clock(

@@ -48,6 +48,7 @@ __all__ = [
     "classify_paths",
     "compute_update",
     "estimate_frequency",
+    "fused_log_odds",
     "residual_sigmas",
     "residuals_for_path",
 ]
@@ -105,7 +106,7 @@ class CalibrationSet:
     i-vs-j cross residual.
 
     The same channels are also laid out as N x N tables for
-    :func:`classify_paths`: cell ``(i, j)`` holds the i-vs-j cross channel
+    :func:`fused_log_odds`: cell ``(i, j)`` holds the i-vs-j cross channel
     and the diagonal holds the self channels.  ``steepness`` and
     ``midpoint`` give each channel's log-odds ``steepness * (r - midpoint)``
     for a residual ``r``; ``log_ceiling`` and ``log_floor`` are the
@@ -212,6 +213,41 @@ def residuals_for_path(
     return residuals
 
 
+def fused_log_odds(
+    offsets: Sequence[float],
+    calibrations: CalibrationSet,
+    drift: float,
+    tau: float,
+    variant: str = "DS2",
+) -> np.ndarray:
+    """Fused log-odds of attack for every path of one epoch, in path order.
+
+    Row i of the residual matrix holds path i's cross residuals against
+    every other path, with its self residual on the diagonal.  Each cell's
+    log-odds are clipped to the channel's clamps (DS1: ceiling only, DS2:
+    both, DS0: none) and a row's sum is the path's fused log-odds.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    n = len(calibrations.self_cal)
+    x = np.asarray(offsets, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"got {x.size} offsets for {n} calibrated paths")
+    # one buffer, worked in place: residuals, then log-odds, then clipped log-odds
+    cells = np.subtract.outer(x, x)
+    cells.ravel()[:: n + 1] = x - drift * tau
+    np.abs(cells, out=cells)
+    if not cells.max() < math.inf:  # also false for NaN
+        raise ValueError("residuals must be finite")
+    cells -= calibrations.midpoint
+    cells *= calibrations.steepness
+    if variant != "DS0":
+        np.minimum(cells, calibrations.log_ceiling, out=cells)
+    if variant == "DS2":
+        np.maximum(cells, calibrations.log_floor, out=cells)
+    return cells.sum(axis=1)
+
+
 def classify_paths(
     offsets: Sequence[float],
     calibrations: CalibrationSet,
@@ -220,32 +256,13 @@ def classify_paths(
     variant: str = "DS2",
     epoch: int = 0,
 ) -> list:
-    """Fuse per-path evidence and flag paths whose fused log-odds are positive.
+    """Flag the paths whose :func:`fused_log_odds` are positive, one verdict per path.
 
-    Row i of the residual matrix holds path i's cross residuals against
-    every other path, with its self residual on the diagonal.  Each cell's
-    log-odds are clipped to the channel's clamps (DS1: ceiling only, DS2:
-    both, DS0: none) and a row's sum is the path's fused log-odds.  An
+    A verdict's fused mass is the logistic of the path's log-odds; an
     exactly balanced sum does not flag.  Verdict order follows path order.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    x = np.asarray(offsets, dtype=float)
-    if x.shape != (len(calibrations.self_cal),):
-        raise ValueError(
-            f"got {x.size} offsets for {len(calibrations.self_cal)} calibrated paths"
-        )
-    residuals = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(residuals, np.abs(x - drift * tau))
-    if not np.isfinite(residuals).all():
-        raise ValueError("residuals must be finite")
-    log_odds = calibrations.steepness * (residuals - calibrations.midpoint)
-    if variant != "DS0":
-        np.minimum(log_odds, calibrations.log_ceiling, out=log_odds)
-    if variant == "DS2":
-        np.maximum(log_odds, calibrations.log_floor, out=log_odds)
     verdicts = []
-    for i, s in enumerate(log_odds.sum(axis=1).tolist()):
+    for i, s in enumerate(fused_log_odds(offsets, calibrations, drift, tau, variant).tolist()):
         m = logistic(s)
         verdicts.append(Verdict(i, epoch, MassPair(m, 1.0 - m), s > 0.0))
     return verdicts

@@ -4,9 +4,9 @@ A :class:`Scenario` pins everything a run needs -- clock and path noise,
 the event schedule rules, the steering method, detector calibration
 inputs and the seed -- so that a run is a pure function of the scenario.
 ``run_scenario`` executes the epoch loop and returns a :class:`RunResult`
-with the per-epoch ledger and the derived metrics; ``emit`` writes the
-result as CSV (one row per epoch), a human-readable summary table, or
-(tau, tdev) plot data.  Emitted CSVs carry enough metadata in a comment
+with the run's per-epoch columns and the derived metrics; ``emit``
+writes the result as CSV (one row per epoch), a human-readable summary
+table, or (tau, tdev) plot data.  Emitted CSVs carry enough metadata in a comment
 preamble to recompute every metric from the file alone, which is what
 ``parse_run_csv`` plus ``parsed_stats`` do.
 
@@ -19,37 +19,39 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
 import statistics
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from ._util import centred_axis, logistic, slope_on_axis
 from .baselines import fta_update, make_single_state, single_update
 from .clocksim import (
-    ClockState,
     EventSchedule,
     NoiseConfig,
+    PathObservation,
     PeriodicAttackRule,
     PeriodicJumpRule,
     RngStreams,
     build_schedule,
-    observe_path,
-    step_clock,
+    draw_noise,
 )
-from .evidence import DEFAULT_STEEPNESS_LOG_ODDS, VACUOUS, VARIANTS
+from .evidence import DEFAULT_STEEPNESS_LOG_ODDS, VACUOUS, VARIANTS, MassPair
 from .fusion import (
     CalibrationSet,
     EpochRecord,
     Verdict,
     build_calibration_set,
-    classify_paths,
-    compute_update,
-    estimate_frequency,
+    fused_log_odds,
 )
-from .metrics import DetectionCounts, TdevCurve, per_path_counts, precision_recall, tdev_curve
+from .metrics import DetectionCounts, TdevCurve, per_path_counts, tdev_curve
 
 __all__ = [
     "METHODS",
@@ -511,109 +513,213 @@ def preset(name: str, method: str = "DS2", seed: int = 1) -> Scenario:
     raise ScenarioError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Everything produced by one run: the epoch ledger plus derived metrics.
+    """Everything produced by one run: its per-epoch columns plus derived metrics.
 
-    ``sync_errors`` is the steered clock's residual time error per epoch
-    (true offset plus the correction applied for that epoch); ``tdev`` is
-    its time deviation over the post-warm-up stretch, or ``None`` when
-    the run is too short.  Counts exclude warm-up epochs.
+    ``true_offsets`` (the clock's true offset), ``corrections`` (the
+    steering correction chosen at that epoch) and ``sync_errors`` (their
+    sum: the steered clock's residual time error) hold one value per
+    epoch.  ``measured``, ``flags`` and ``attacks`` are read-only
+    ``(epochs, paths)`` arrays of the reported offsets, the detector flags
+    and the injected attack bias; ``log_odds`` holds the fused log-odds of
+    every cell for the DS methods and is ``None`` for the others.
+    ``tdev`` is the time deviation of ``sync_errors`` over the
+    post-warm-up stretch, or ``None`` when the run is too short.  Counts
+    exclude warm-up epochs.
     """
 
     scenario: Scenario
-    records: tuple
+    true_offsets: tuple
+    corrections: tuple
     sync_errors: tuple
+    measured: np.ndarray
+    flags: np.ndarray
+    attacks: np.ndarray
+    log_odds: np.ndarray | None
     tdev: TdevCurve | None
     counts: DetectionCounts
     path_counts: tuple
 
     def __post_init__(self) -> None:
-        if len(self.records) != self.scenario.n_epochs:
-            raise ValueError("need exactly one record per epoch")
-        if len(self.sync_errors) != len(self.records):
-            raise ValueError("need exactly one sync error per epoch")
-        if len(self.path_counts) != self.scenario.n_paths:
+        shape = (self.scenario.n_epochs, self.scenario.n_paths)
+        epoch_columns = (self.true_offsets, self.corrections, self.sync_errors)
+        cells = [self.measured, self.flags, self.attacks]
+        cells += [] if self.log_odds is None else [self.log_odds]
+        if any(len(c) != shape[0] for c in epoch_columns) or any(c.shape != shape for c in cells):
+            raise ValueError(f"need one value per epoch and {shape} per-path columns")
+        if len(self.path_counts) != shape[1]:
             raise ValueError("need exactly one count set per path")
+        for column in cells:
+            column.flags.writeable = False
+
+    @property
+    def records(self) -> "EpochRecords":
+        """The same run as one :class:`EpochRecord` per epoch, built on access."""
+        return EpochRecords(self)
+
+
+class EpochRecords(SequenceABC):
+    """Read-only sequence view of a :class:`RunResult` as per-epoch records.
+
+    Each item is an :class:`EpochRecord` built from the run's columns when
+    it is read.  A DS verdict's fused mass is the logistic of the cell's
+    log-odds; the baselines' verdicts carry the vacuous mass.
+    """
+
+    __slots__ = ("run",)
+
+    def __init__(self, run: RunResult):
+        self.run = run
+
+    def __len__(self) -> int:
+        return len(self.run.true_offsets)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[e] for e in range(len(self))[index]]
+        epoch = range(len(self))[index]
+        run = self.run
+        observations = tuple(
+            PathObservation(i, epoch, m, a)
+            for i, (m, a) in enumerate(
+                zip(run.measured[epoch].tolist(), run.attacks[epoch].tolist())
+            )
+        )
+        if run.log_odds is None:
+            fused = [VACUOUS] * len(observations)
+        else:
+            fused = [MassPair(m, 1.0 - m) for m in map(logistic, run.log_odds[epoch].tolist())]
+        verdicts = tuple(
+            Verdict(i, epoch, f, flag)
+            for i, (f, flag) in enumerate(zip(fused, run.flags[epoch].tolist()))
+        )
+        return EpochRecord(
+            epoch,
+            run.true_offsets[epoch],
+            observations,
+            verdicts,
+            run.corrections[epoch],
+            run.scenario.method,
+        )
+
+
+#: Epochs per block when per-path arrays become Python rows; bounds the
+#: memory those rows take on long runs.
+_BLOCK_EPOCHS = 4096
+
+
+def _row_blocks(*columns):
+    """Row tuples of equally long arrays, converted to Python a block of epochs at a time."""
+    for lo in range(0, len(columns[0]), _BLOCK_EPOCHS):
+        yield from zip(*(c[lo : lo + _BLOCK_EPOCHS].tolist() for c in columns))
+
+
+def _run_stats(flags, attacks, sync_errors: Sequence[float], warm: int, tau: float) -> tuple:
+    """``(counts, path_counts, tdev_curve)`` of a run's columns, scored after ``warm`` epochs."""
+    path_counts = per_path_counts(flags, attacks, warm)
+    counts = sum(path_counts, DetectionCounts(0, 0, 0, 0))
+    post = sync_errors[warm:]
+    return counts, path_counts, tdev_curve(post, tau) if len(post) >= 4 else None
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute the epoch loop for ``scenario``; deterministic in (scenario, seed).
 
-    Per epoch: advance the true clock with the previous correction and
-    any scheduled jump, draw every path's report, classify the paths
-    (method-dependent), and compute the next correction.  The frequency
-    estimate feeding the fused detector is fit over a window of the
-    accumulated steered offsets from strictly earlier epochs.
+    All noise is drawn and the event schedule expanded before the loop
+    (:func:`~timefuse.clocksim.draw_noise`), so an epoch only does what
+    depends on the previous epoch's correction: advance the true clock
+    with that correction and any scheduled jump, form every path's report,
+    classify the paths (method-dependent), and compute the next
+    correction.  The frequency estimate feeding the fused detector is fit
+    over a window of the accumulated steered offsets from strictly
+    earlier epochs.  The DS steering mean is a Python ``sum`` over the
+    kept reports in path order; ``np.sum`` would reorder the additions.
     """
-    noise = scenario.noise()
-    schedule = scenario.schedule()
-    rngs = RngStreams(scenario.seed, scenario.n_paths)
     n = scenario.n_paths
     tau = scenario.tau
+    window = scenario.window
     method = scenario.method
+    noise = scenario.noise()
+    schedule = scenario.schedule()
     calibs = scenario.calibrations() if method in VARIANTS else None
     single = (
-        make_single_state(noise, scenario.p_false_alarm, scenario.two_sided, scenario.window)
+        make_single_state(noise, scenario.p_false_alarm, scenario.two_sided, window)
         if method == "Single"
         else None
     )
+    clock_noise, link, meas = draw_noise(
+        noise, RngStreams(scenario.seed, n), scenario.n_epochs
+    )
+    attacks = schedule.attack_matrix(n)
+    w_offset, w_drift = clock_noise.T.tolist()
+    jumps = [schedule.jump_on(epoch) for epoch in range(scenario.n_epochs)]
+    time_axis = [k * tau for k in range(min(window, scenario.n_epochs))]
+    full_axis = centred_axis(time_axis) if len(time_axis) == window else None
 
-    state = ClockState(0.0, 0.0)
-    correction = 0.0
-    cum_correction = 0.0
+    offset = drift = correction = cum_correction = 0.0
     z_history: list = []
     quarantine_left = [0] * n
-    records = []
-    sync_errors = []
-
-    for epoch in range(scenario.n_epochs):
-        state = step_clock(state, correction, noise, rngs.clock, jump=schedule.jump_on(epoch))
-        observations = tuple(
-            observe_path(state.offset, i, epoch, noise, schedule, rngs.path(i))
-            for i in range(n)
-        )
-        offsets = [o.measured_offset for o in observations]
+    measured = np.empty(attacks.shape)
+    log_odds = np.empty(attacks.shape) if calibs is not None else None
+    true_offsets, corrections, single_flags = [], [], []
+    for epoch, cells in enumerate(_row_blocks(link, meas, attacks)):
+        offset = offset + correction + drift * tau + w_offset[epoch] + jumps[epoch]
+        drift = drift + w_drift[epoch]
+        x = [offset + w + v + a for w, v, a in zip(*cells)]
 
         if calibs is not None:
-            freq = estimate_frequency(z_history, tau, scenario.window)
-            verdicts = tuple(
-                classify_paths(offsets, calibs, freq.drift, tau, method, epoch)
-            )
-            quarantined = [i for i in range(n) if quarantine_left[i] > 0]
-            correction = compute_update(offsets, verdicts, freq.drift, tau, quarantined)
-            for i, v in enumerate(verdicts):
-                if v.flagged:
-                    quarantine_left[i] = scenario.quarantine
-                elif quarantine_left[i]:
-                    quarantine_left[i] -= 1
+            points = z_history[-window:]
+            if len(points) == window:
+                drift_est = slope_on_axis(full_axis, points)
+            elif len(points) >= 2:
+                drift_est = slope_on_axis(centred_axis(time_axis[: len(points)]), points)
+            else:
+                drift_est = 0.0
+            sums = fused_log_odds(x, calibs, drift_est, tau, method).tolist()
+            kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
+            correction = -sum(kept) / len(kept) if kept else -drift_est * tau
+            if scenario.quarantine:
+                quarantine_left = [
+                    scenario.quarantine if s > 0.0 else max(q - 1, 0)
+                    for s, q in zip(sums, quarantine_left)
+                ]
+            z_history.append(-correction - cum_correction)
+            cum_correction += correction
+            log_odds[epoch] = sums
         elif method == "FTA":
-            correction = fta_update(offsets)
-            verdicts = tuple(Verdict(i, epoch, VACUOUS, False) for i in range(n))
+            correction = fta_update(x)
         else:
-            correction, flagged, single = single_update(offsets[0], single, tau)
-            verdicts = (Verdict(0, epoch, VACUOUS, flagged),) + tuple(
-                Verdict(i, epoch, VACUOUS, False) for i in range(1, n)
-            )
+            correction, flagged, single = single_update(x[0], single, tau)
+            single_flags.append(flagged)
 
-        z_history.append(-correction - cum_correction)
-        cum_correction += correction
-        sync_errors.append(state.offset + correction)
-        records.append(
-            EpochRecord(epoch, state.offset, observations, verdicts, correction, method)
-        )
+        true_offsets.append(offset)
+        corrections.append(correction)
+        measured[epoch] = x
 
-    flags = [[v.flagged for v in r.verdicts] for r in records]
-    attacks = [[o.attack_truth for o in r.observations] for r in records]
-    warm = scenario.warmup
-    post = sync_errors[warm:]
+    # a non-finite offset or correction stays non-finite in every later epoch
+    if not (math.isfinite(offset) and math.isfinite(correction)):
+        raise ValueError("clock state must be finite")
+    if log_odds is not None:
+        flags = log_odds > 0.0
+    else:
+        flags = np.zeros(attacks.shape, dtype=bool)
+        if single_flags:
+            flags[:, 0] = single_flags
+    sync_errors = tuple((np.array(true_offsets) + np.array(corrections)).tolist())
+    counts, path_counts, curve = _run_stats(flags, attacks, sync_errors, scenario.warmup, tau)
     return RunResult(
         scenario=scenario,
-        records=tuple(records),
-        sync_errors=tuple(sync_errors),
-        tdev=tdev_curve(post, tau) if len(post) >= 4 else None,
-        counts=precision_recall(flags, attacks, warm),
-        path_counts=per_path_counts(flags, attacks, warm),
+        true_offsets=tuple(true_offsets),
+        corrections=tuple(corrections),
+        sync_errors=sync_errors,
+        measured=measured,
+        flags=flags,
+        attacks=attacks,
+        log_odds=log_odds,
+        tdev=curve,
+        counts=counts,
+        path_counts=path_counts,
     )
 
 
@@ -622,6 +728,37 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
 _PS = 1e12
 
+#: Preamble keys of the run CSV, in file order.
+_CSV_PREAMBLE = ("name", "method", "seed", "tau_s", "window_epochs", "n_paths")
+
+
+def _csv_header(n: int) -> list:
+    """Column names of the run CSV for ``n`` paths."""
+    return (
+        ["epoch", "true_theta_ps"]
+        + [f"theta_m_{i + 1}_ps" for i in range(n)]
+        + [f"flag_{i + 1}" for i in range(n)]
+        + ["u_theta_ps"]
+        + [f"attack_{i + 1}_ps" for i in range(n)]
+    )
+
+
+def _ledger_columns(records: Sequence[EpochRecord]) -> tuple:
+    """``(epochs, true_offsets, measured, flags, corrections, attacks)`` of a ledger."""
+    if isinstance(records, EpochRecords):
+        r = records.run
+        return (
+            range(len(records)), r.true_offsets, r.measured, r.flags, r.corrections, r.attacks
+        )
+    return (
+        [r.epoch for r in records],
+        [r.true_offset for r in records],
+        [[o.measured_offset for o in r.observations] for r in records],
+        [[v.flagged for v in r.verdicts] for r in records],
+        [r.correction for r in records],
+        [[o.attack_truth for o in r.observations] for r in records],
+    )
+
 
 def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     """The CSV wire form: a ``# key=value`` preamble, a header row, one row per epoch.
@@ -629,34 +766,31 @@ def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     Offsets are picoseconds with three decimals; flags are 0/1.  The
     trailing per-path attack columns carry the injected truth so the file
     alone suffices to recompute precision, recall and time deviation.
+    ``records`` is a run's ledger, :attr:`RunResult.records` or any
+    sequence of :class:`EpochRecord`.
     """
     n = scenario.n_paths
-    out = io.StringIO()
-    for key, value in (
-        ("name", scenario.name),
-        ("method", scenario.method),
-        ("seed", scenario.seed),
-        ("tau_s", repr(scenario.tau)),
-        ("window_epochs", scenario.window),
-        ("n_paths", n),
-    ):
-        out.write(f"# {key}={value}\n")
-    header = (
-        ["epoch", "true_theta_ps"]
-        + [f"theta_m_{i + 1}_ps" for i in range(n)]
-        + [f"flag_{i + 1}" for i in range(n)]
-        + ["u_theta_ps"]
-        + [f"attack_{i + 1}_ps" for i in range(n)]
+    preamble = (
+        scenario.name, scenario.method, scenario.seed, repr(scenario.tau), scenario.window, n
     )
-    out.write(",".join(header) + "\n")
-    for r in records:
-        cells = [str(r.epoch), f"{r.true_offset * _PS:.3f}"]
-        cells += [f"{o.measured_offset * _PS:.3f}" for o in r.observations]
-        cells += ["1" if v.flagged else "0" for v in r.verdicts]
-        cells.append(f"{r.correction * _PS:.3f}")
-        cells += [f"{o.attack_truth * _PS:.3f}" for o in r.observations]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    out = [f"# {key}={value}\n" for key, value in zip(_CSV_PREAMBLE, preamble)]
+    out.append(",".join(_csv_header(n)) + "\n")
+    epochs, true_offsets, measured, flags, corrections, attacks = _ledger_columns(records)
+    if len(epochs):
+        # epoch and flag cells ride along as floats; "%d" prints them as integers
+        table = np.column_stack(
+            [
+                epochs,
+                np.asarray(true_offsets, dtype=float) * _PS,
+                np.asarray(measured, dtype=float) * _PS,
+                flags,
+                np.asarray(corrections, dtype=float) * _PS,
+                np.asarray(attacks, dtype=float) * _PS,
+            ]
+        )
+        row = ",".join(["%d", "%.3f"] + ["%.3f"] * n + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
+        out.extend(map(row.__mod__, _row_blocks(*table.T)))
+    return "".join(out)
 
 
 def write_run_csv(result: RunResult, path) -> Path:
@@ -694,65 +828,56 @@ class ParsedRun:
 def parse_run_csv(path) -> ParsedRun:
     """Read a file produced by :func:`write_run_csv` back into memory.
 
-    Raises :class:`ValueError` on malformed content (the message includes
-    the file name) and propagates I/O errors unchanged.
+    Rows are parsed as they are read, so the file's text is never held
+    whole.  Raises :class:`ValueError` on malformed content (the message
+    includes the file name) and propagates I/O errors unchanged.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    meta: dict = {}
-    lines = text.splitlines()
-    body_start = 0
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        body_start += 1
-        key, sep, value = line.lstrip("# ").partition("=")
-        if sep:
-            meta[key.strip()] = value.strip()
 
     def fail(msg: str):
         raise ValueError(f"{path}: {msg}")
 
-    for key in ("name", "method", "seed", "tau_s", "window_epochs", "n_paths"):
-        if key not in meta:
-            fail(f"missing '# {key}=...' in the preamble")
-    try:
-        n = int(meta["n_paths"])
-        seed = int(meta["seed"])
-        window = int(meta["window_epochs"])
-        tau = float(meta["tau_s"])
-    except ValueError:
-        fail("non-numeric preamble value")
-    rows = list(csv.reader(lines[body_start:]))
-    if not rows:
-        fail("missing header row")
-    expected = (
-        ["epoch", "true_theta_ps"]
-        + [f"theta_m_{i + 1}_ps" for i in range(n)]
-        + [f"flag_{i + 1}" for i in range(n)]
-        + ["u_theta_ps"]
-        + [f"attack_{i + 1}_ps" for i in range(n)]
-    )
-    if rows[0] != expected:
-        fail("unexpected header row")
-    epochs, true_offsets, measured, flags, corrections, attacks = [], [], [], [], [], []
-    for k, row in enumerate(rows[1:]):
-        if len(row) != len(expected):
-            fail(f"row {k} has {len(row)} cells, expected {len(expected)}")
+    with path.open(encoding="utf-8", newline="") as f:
+        meta: dict = {}
+        line = f.readline()
+        while line.startswith("#"):
+            key, sep, value = line.lstrip("# ").partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+            line = f.readline()
+        for key in _CSV_PREAMBLE:
+            if key not in meta:
+                fail(f"missing '# {key}=...' in the preamble")
         try:
-            epochs.append(int(row[0]))
-            true_offsets.append(float(row[1]) / _PS)
-            measured.append(tuple(float(c) / _PS for c in row[2 : 2 + n]))
-            flag_cells = row[2 + n : 2 + 2 * n]
-            if any(c not in ("0", "1") for c in flag_cells):
+            n = int(meta["n_paths"])
+            seed = int(meta["seed"])
+            window = int(meta["window_epochs"])
+            tau = float(meta["tau_s"])
+        except ValueError:
+            fail("non-numeric preamble value")
+        rows = csv.reader(itertools.chain((line,) if line else (), f))
+        expected = _csv_header(n)
+        header = next(rows, None)
+        if header is None:
+            fail("missing header row")
+        if header != expected:
+            fail("unexpected header row")
+        flag_values = {"0": False, "1": True}
+        epochs, true_offsets, measured, flags, corrections, attacks = [], [], [], [], [], []
+        for k, row in enumerate(rows):
+            if len(row) != len(expected):
+                fail(f"row {k} has {len(row)} cells, expected {len(expected)}")
+            try:
+                epochs.append(int(row[0]))
+                true_offsets.append(float(row[1]) / _PS)
+                measured.append(tuple([float(c) / _PS for c in row[2 : 2 + n]]))
+                flags.append(tuple([flag_values[c] for c in row[2 + n : 2 + 2 * n]]))
+                corrections.append(float(row[2 + 2 * n]) / _PS)
+                attacks.append(tuple([float(c) / _PS for c in row[3 + 2 * n :]]))
+            except KeyError:
                 fail(f"row {k} has a flag cell that is not 0/1")
-            flags.append(tuple(c == "1" for c in flag_cells))
-            corrections.append(float(row[2 + 2 * n]) / _PS)
-            attacks.append(tuple(float(c) / _PS for c in row[3 + 2 * n :]))
-        except ValueError as exc:
-            if str(exc).startswith(str(path)):
-                raise
-            fail(f"row {k}: {exc}")
+            except ValueError as exc:
+                fail(f"row {k}: {exc}")
     return ParsedRun(
         name=meta["name"],
         method=meta["method"],
@@ -771,12 +896,7 @@ def parse_run_csv(path) -> ParsedRun:
 
 def parsed_stats(parsed: ParsedRun) -> tuple:
     """Recompute ``(counts, path_counts, tdev_curve)`` from a parsed CSV."""
-    warm = parsed.warmup
-    counts = precision_recall(parsed.flags, parsed.attacks, warm)
-    paths = per_path_counts(parsed.flags, parsed.attacks, warm)
-    post = parsed.sync_errors[warm:]
-    curve = tdev_curve(post, parsed.tau) if len(post) >= 4 else None
-    return counts, paths, curve
+    return _run_stats(parsed.flags, parsed.attacks, parsed.sync_errors, parsed.warmup, parsed.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -852,8 +972,9 @@ def summarize_run(result: RunResult) -> str:
     )
 
 
-def summarize_parsed(parsed: ParsedRun) -> str:
-    counts, paths, curve = parsed_stats(parsed)
+def summarize_parsed(parsed: ParsedRun, stats: tuple | None = None) -> str:
+    """Summary table of a parsed CSV; pass ``stats`` when its :func:`parsed_stats` are at hand."""
+    counts, paths, curve = parsed_stats(parsed) if stats is None else stats
     header = {
         "name": parsed.name,
         "method": parsed.method,

@@ -146,38 +146,33 @@ def per_path_counts(
     """Confusion counts for each path separately.
 
     ``flags[e][i]`` is whether path ``i`` was flagged at epoch ``e`` and
-    ``attacks[e][i]`` the bias truly injected there (0.0 means clean).
+    ``attacks[e][i]`` the bias truly injected there (0.0 means clean);
+    either may be a nested sequence or an ``(epochs, paths)`` array.
     Epochs before ``start_epoch`` (e.g. detector warm-up) are ignored.
     """
     if len(flags) != len(attacks):
         raise ValueError("flags and attacks must cover the same epochs")
     if not 0 <= start_epoch <= len(flags):
         raise ValueError("start_epoch outside the scored range")
-    if not flags:
+    if not len(flags):
         return ()
-    n_paths = len(flags[0])
-    tp = [0] * n_paths
-    fp = [0] * n_paths
-    fn = [0] * n_paths
-    tn = [0] * n_paths
-    for epoch in range(start_epoch, len(flags)):
-        row = flags[epoch]
-        truth = attacks[epoch]
-        if len(row) != n_paths or len(truth) != n_paths:
-            raise ValueError(f"ragged row at epoch {epoch}")
-        for i in range(n_paths):
-            attacked = truth[i] != 0.0
-            if row[i]:
-                if attacked:
-                    tp[i] += 1
-                else:
-                    fp[i] += 1
-            elif attacked:
-                fn[i] += 1
-            else:
-                tn[i] += 1
+    ragged = "ragged rows: every epoch needs one flag and one attack per path"
+    try:
+        flagged = np.asarray(flags, dtype=bool)
+        attacked = np.asarray(attacks, dtype=float) != 0.0
+    except ValueError:  # numpy refuses nested sequences of unequal length
+        raise ValueError(ragged) from None
+    if flagged.ndim != 2 or flagged.shape != attacked.shape:
+        raise ValueError(ragged)
+    flagged = flagged[start_epoch:]
+    attacked = attacked[start_epoch:]
+    tp = (flagged & attacked).sum(axis=0).tolist()
+    n_flagged = flagged.sum(axis=0).tolist()
+    n_attacked = attacked.sum(axis=0).tolist()
+    scored = len(flagged)
     return tuple(
-        DetectionCounts(tp[i], fp[i], fn[i], tn[i]) for i in range(n_paths)
+        DetectionCounts(t, f - t, a - t, scored - f - a + t)
+        for t, f, a in zip(tp, n_flagged, n_attacked)
     )
 
 

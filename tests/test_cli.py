@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from timefuse import cli
+from timefuse import cli, harness
 from timefuse.harness import parse_run_csv
 
 
@@ -157,6 +157,23 @@ class TestReport:
         assert code == 0
         assert (out_dir / "s_DS2_seed1_summary.txt").exists()
         assert (out_dir / "s_DS2_seed1_tdev.csv").exists()
+
+    def test_report_computes_statistics_once_per_csv(self, capsys, tmp_path, monkeypatch):
+        for name in ("s", "t"):
+            scn = tmp_path / f"{name}.json"
+            scn.write_text(json.dumps({"name": name, "n_paths": 3, "n_epochs": 80}))
+            run_cli(["run", str(scn), "--out", str(tmp_path), "--format", "csv"], capsys)
+        computed = []
+        stats_of = cli.parsed_stats
+        monkeypatch.setattr(cli, "parsed_stats", lambda p: computed.append(p.name) or stats_of(p))
+        monkeypatch.setattr(harness, "parsed_stats", None)  # summaries must reuse cli's result
+        out_dir = tmp_path / "reports"
+        csvs = [str(tmp_path / f"{name}_DS2_seed1.csv") for name in ("s", "t")]
+        code, out, _ = run_cli(["report", *csvs, "--out", str(out_dir)], capsys)
+        assert code == 0
+        assert computed == ["s", "t"]
+        summary = (out_dir / "t_DS2_seed1_summary.txt").read_text()
+        assert summary in out
 
     def test_report_rejects_mangled_csv(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -18,6 +18,7 @@ from timefuse import (
     observe_path,
     step_clock,
 )
+from timefuse.clocksim import draw_noise
 
 TABLE_NOISE = NoiseConfig(
     sigma_offset=10e-12,
@@ -191,6 +192,58 @@ class TestEventSchedule:
         assert sched.attacked_paths(2) == (0,)
         assert sched.attacked_paths(5) == (2,)
         assert sched.attacked_paths(9) == ()
+
+    def test_attack_matrix_agrees_with_the_lookups(self):
+        sched = EventSchedule(
+            (AttackEvent(0, 2, 3e-9, 2), AttackEvent(2, 5, -1e-9, 1), AttackEvent(1, 9, 2e-9, 4)),
+            (),
+            10,
+        )
+        matrix = sched.attack_matrix(3)
+        assert matrix.shape == (10, 3)
+        assert matrix.tolist() == [[sched.attack_on(p, e) for p in range(3)] for e in range(10)]
+        with pytest.raises(ValueError, match="path 2"):
+            sched.attack_matrix(2)
+
+
+def scalar_draws(noise, rngs, n_epochs):
+    """Every epoch's draws in the order step_clock and observe_path make them."""
+    clock, link, meas = [], [], []
+    for _ in range(n_epochs):
+        clock.append(
+            [rngs.clock.normal(0.0, noise.sigma_offset), rngs.clock.normal(0.0, noise.sigma_drift)]
+        )
+        link.append([])
+        meas.append([])
+        for i in range(noise.n_paths):
+            link[-1].append(rngs.path(i).normal(0.0, noise.sigma_link[i]))
+            meas[-1].append(rngs.path(i).normal(0.0, noise.sigma_meas[i]))
+    return clock, link, meas
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE doubles, so 0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDrawNoise:
+    # zero sigmas included: rng.normal(0.0, 0.0) is +0.0 whatever the draw's sign
+    NOISE = NoiseConfig(0.0, 1e-12, (10e-12, 0.0, 3.0), (0.0, 25e-12, 1e-12), tau=1.0)
+
+    def test_equals_the_per_epoch_draws(self):
+        clock, link, meas = draw_noise(self.NOISE, RngStreams(5, 3), 200)
+        expected = scalar_draws(self.NOISE, RngStreams(5, 3), 200)
+        assert clock.shape == (200, 2) and link.shape == meas.shape == (200, 3)
+        for got, want in zip((clock, link, meas), expected):
+            assert same_bits(got, want)
+
+    def test_chunks_continue_the_streams(self):
+        rngs = RngStreams(8, 3)
+        chunks = [draw_noise(self.NOISE, rngs, k) for k in (1, 64, 0, 135)]
+        whole = draw_noise(self.NOISE, RngStreams(8, 3), 200)
+        for part, want in enumerate(whole):
+            assert same_bits(np.concatenate([c[part] for c in chunks]), want)
 
 
 class TestBuildSchedule:

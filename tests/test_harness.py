@@ -261,6 +261,18 @@ class TestRunScenario:
         }
         assert flagged and all(path == 0 for _, path in flagged)
 
+    def test_clock_leaving_the_float_range_is_an_error(self):
+        # the single-path detector coasts through each huge jump, so they add up
+        sc = Scenario(
+            name="blowup",
+            n_paths=3,
+            n_epochs=10,
+            method="Single",
+            jump_rules=(PeriodicJumpRule(1.0, 0.0, 1.7e308),),
+        )
+        with pytest.raises(ValueError, match="finite"):
+            run_scenario(sc)
+
     def test_short_run_has_no_deviation_curve(self):
         sc = Scenario(name="blip", n_paths=3, n_epochs=5, method="FTA")
         result = run_scenario(sc)
