@@ -17,7 +17,6 @@ file headers and tables.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -799,9 +798,14 @@ def write_run_csv(result: RunResult, path) -> Path:
     return path
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParsedRun:
-    """A run read back from its CSV; offsets converted back to seconds."""
+    """A run read back from its CSV; offsets converted back to seconds.
+
+    ``epochs`` is a tuple of ints.  ``true_offsets`` and ``corrections``
+    are read-only ``(epochs,)`` arrays; ``measured``, ``flags`` (bool) and
+    ``attacks`` are read-only ``(epochs, paths)`` arrays.
+    """
 
     name: str
     method: str
@@ -810,15 +814,20 @@ class ParsedRun:
     window: int
     n_paths: int
     epochs: tuple
-    true_offsets: tuple
-    measured: tuple
-    flags: tuple
-    corrections: tuple
-    attacks: tuple
+    true_offsets: np.ndarray
+    measured: np.ndarray
+    flags: np.ndarray
+    corrections: np.ndarray
+    attacks: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = (self.true_offsets, self.measured, self.flags, self.corrections, self.attacks)
+        for column in columns:
+            column.flags.writeable = False
 
     @property
-    def sync_errors(self) -> tuple:
-        return tuple(t + u for t, u in zip(self.true_offsets, self.corrections))
+    def sync_errors(self) -> np.ndarray:
+        return self.true_offsets + self.corrections
 
     @property
     def warmup(self) -> int:
@@ -828,16 +837,21 @@ class ParsedRun:
 def parse_run_csv(path) -> ParsedRun:
     """Read a file produced by :func:`write_run_csv` back into memory.
 
-    Rows are parsed as they are read, so the file's text is never held
-    whole.  Raises :class:`ValueError` on malformed content (the message
-    includes the file name) and propagates I/O errors unchanged.
+    After the preamble and the header, every row is read by one
+    ``np.loadtxt`` call, which pulls the open file line by line, so the
+    file's text is never held whole.  Each row must have the header's
+    cell count and every cell must be a number; an epoch cell must be an
+    integer and a flag cell must equal 0 or 1 (so ``1.0`` is accepted as
+    a flag).  Empty lines are skipped.  Raises :class:`ValueError` on
+    malformed content (the message includes the file name) and
+    propagates I/O errors unchanged.
     """
     path = Path(path)
 
     def fail(msg: str):
         raise ValueError(f"{path}: {msg}")
 
-    with path.open(encoding="utf-8", newline="") as f:
+    with path.open(encoding="utf-8") as f:
         meta: dict = {}
         line = f.readline()
         while line.startswith("#"):
@@ -855,29 +869,36 @@ def parse_run_csv(path) -> ParsedRun:
             tau = float(meta["tau_s"])
         except ValueError:
             fail("non-numeric preamble value")
-        rows = csv.reader(itertools.chain((line,) if line else (), f))
+        if n < 1:
+            fail("n_paths must be positive")
         expected = _csv_header(n)
-        header = next(rows, None)
-        if header is None:
+        if not line:
             fail("missing header row")
-        if header != expected:
+        if line.rstrip("\n").split(",") != expected:
             fail("unexpected header row")
-        flag_values = {"0": False, "1": True}
-        epochs, true_offsets, measured, flags, corrections, attacks = [], [], [], [], [], []
-        for k, row in enumerate(rows):
-            if len(row) != len(expected):
-                fail(f"row {k} has {len(row)} cells, expected {len(expected)}")
+        # loadtxt skips empty lines, and warns when that leaves no data
+        first = next((row for row in f if row != "\n"), None)
+        if first is None:
+            table = np.empty((0, len(expected)))
+        else:
             try:
-                epochs.append(int(row[0]))
-                true_offsets.append(float(row[1]) / _PS)
-                measured.append(tuple([float(c) / _PS for c in row[2 : 2 + n]]))
-                flags.append(tuple([flag_values[c] for c in row[2 + n : 2 + 2 * n]]))
-                corrections.append(float(row[2 + 2 * n]) / _PS)
-                attacks.append(tuple([float(c) / _PS for c in row[3 + 2 * n :]]))
-            except KeyError:
-                fail(f"row {k} has a flag cell that is not 0/1")
+                table = np.loadtxt(
+                    itertools.chain((first,), f), delimiter=",", comments=None, ndmin=2
+                )
             except ValueError as exc:
-                fail(f"row {k}: {exc}")
+                fail(str(exc))
+    if table.shape[1] != len(expected):
+        fail(f"rows have {table.shape[1]} cells, expected {len(expected)}")
+    epochs = table[:, 0]
+    # a double holds every integer up to 2**53 exactly
+    ok = (np.abs(epochs) <= 2**53) & (epochs == np.trunc(epochs))
+    if not ok.all():
+        fail(f"row {np.argmin(ok)} has an epoch that is not an integer")
+    flag_cells = table[:, 2 + n : 2 + 2 * n]
+    flags = flag_cells == 1.0
+    ok = (flags | (flag_cells == 0.0)).all(axis=1)
+    if not ok.all():
+        fail(f"row {np.argmin(ok)} has a flag cell that is not 0/1")
     return ParsedRun(
         name=meta["name"],
         method=meta["method"],
@@ -885,12 +906,12 @@ def parse_run_csv(path) -> ParsedRun:
         tau=tau,
         window=window,
         n_paths=n,
-        epochs=tuple(epochs),
-        true_offsets=tuple(true_offsets),
-        measured=tuple(measured),
-        flags=tuple(flags),
-        corrections=tuple(corrections),
-        attacks=tuple(attacks),
+        epochs=tuple(epochs.astype(int).tolist()),
+        true_offsets=table[:, 1] / _PS,
+        measured=table[:, 2 : 2 + n] / _PS,
+        flags=flags,
+        corrections=table[:, 2 + 2 * n] / _PS,
+        attacks=table[:, 3 + 2 * n :] / _PS,
     )
 
 
@@ -984,7 +1005,7 @@ def summarize_parsed(parsed: ParsedRun, stats: tuple | None = None) -> str:
         "warmup": parsed.warmup,
     }
     return _format_summary(
-        header, counts, paths, curve, parsed.sync_errors[parsed.warmup :], parsed.tau
+        header, counts, paths, curve, parsed.sync_errors[parsed.warmup :].tolist(), parsed.tau
     )
 
 

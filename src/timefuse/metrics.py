@@ -73,6 +73,7 @@ def tdev_curve(
     factor the series length supports.  An explicit ``factors`` sequence
     must be strictly increasing.
     """
+    x = np.asarray(x, dtype=float)
     n_max = (len(x) - 1) // 3
     if factors is None:
         if n_max < 1:

@@ -1,0 +1,291 @@
+"""The array CSV reader against the row-by-row reader it replaced.
+
+``reference_parse`` below is that reader: ``csv.reader`` over the open
+file, one ``float()`` per cell and a dict lookup per flag, the run held
+as tuples of Python floats.  ``parse_run_csv`` reads every data row with
+one ``np.loadtxt`` call; on every file the two must agree bit for bit,
+and so must the statistics recomputed from them.
+"""
+
+import csv
+import itertools
+import re
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+
+from test_engine import scenarios
+from timefuse import (
+    METHODS,
+    PRESET_NAMES,
+    DetectionCounts,
+    PeriodicAttackRule,
+    Scenario,
+    preset,
+    run_scenario,
+)
+from timefuse.cli import main as cli_main
+from timefuse.harness import (
+    _CSV_PREAMBLE,
+    _PS,
+    _csv_header,
+    parse_run_csv,
+    parsed_stats,
+    run_csv_text,
+    summarize_parsed,
+    write_run_csv,
+)
+from timefuse.metrics import per_path_counts, tdev_curve
+
+#: CSV cells round to 0.001 ps, so TDEV read back from a CSV may differ
+#: from the in-memory curve by a fraction of that; 0.01 ps is 20 rounding
+#: steps and far below any real TDEV (tens of ps).
+TDEV_TOLERANCE_S = 1e-14
+
+
+def reference_parse(path) -> dict:
+    """The run CSV at ``path`` read row by row into tuples of Python values."""
+    path = Path(path)
+
+    def fail(msg: str):
+        raise ValueError(f"{path}: {msg}")
+
+    with path.open(encoding="utf-8", newline="") as f:
+        meta: dict = {}
+        line = f.readline()
+        while line.startswith("#"):
+            key, sep, value = line.lstrip("# ").partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+            line = f.readline()
+        for key in _CSV_PREAMBLE:
+            if key not in meta:
+                fail(f"missing '# {key}=...' in the preamble")
+        n = int(meta["n_paths"])
+        rows = csv.reader(itertools.chain((line,) if line else (), f))
+        expected = _csv_header(n)
+        if next(rows, None) != expected:
+            fail("unexpected header row")
+        flag_values = {"0": False, "1": True}
+        epochs, true_offsets, measured, flags, corrections, attacks = [], [], [], [], [], []
+        for k, row in enumerate(rows):
+            if len(row) != len(expected):
+                fail(f"row {k} has {len(row)} cells, expected {len(expected)}")
+            try:
+                epochs.append(int(row[0]))
+                true_offsets.append(float(row[1]) / _PS)
+                measured.append(tuple([float(c) / _PS for c in row[2 : 2 + n]]))
+                flags.append(tuple([flag_values[c] for c in row[2 + n : 2 + 2 * n]]))
+                corrections.append(float(row[2 + 2 * n]) / _PS)
+                attacks.append(tuple([float(c) / _PS for c in row[3 + 2 * n :]]))
+            except KeyError:
+                fail(f"row {k} has a flag cell that is not 0/1")
+            except ValueError as exc:
+                fail(f"row {k}: {exc}")
+    return dict(
+        name=meta["name"],
+        method=meta["method"],
+        seed=int(meta["seed"]),
+        tau=float(meta["tau_s"]),
+        window=int(meta["window_epochs"]),
+        n_paths=n,
+        epochs=tuple(epochs),
+        true_offsets=tuple(true_offsets),
+        measured=tuple(measured),
+        flags=tuple(flags),
+        corrections=tuple(corrections),
+        attacks=tuple(attacks),
+    )
+
+
+def reference_stats(ref: dict) -> tuple:
+    """``(counts, path_counts, tdev_curve)`` of a reference parse, from its tuples."""
+    warm = min(ref["window"], len(ref["epochs"]))
+    sync_errors = tuple(t + u for t, u in zip(ref["true_offsets"], ref["corrections"]))
+    path_counts = per_path_counts(ref["flags"], ref["attacks"], warm)
+    post = sync_errors[warm:]
+    curve = tdev_curve(post, ref["tau"]) if len(post) >= 4 else None
+    return sum(path_counts, DetectionCounts(0, 0, 0, 0)), path_counts, curve
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE doubles, so 0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_parsers_agree(path):
+    parsed = parse_run_csv(path)
+    ref = reference_parse(path)
+    for key in ("name", "method", "seed", "tau", "window", "n_paths", "epochs"):
+        assert getattr(parsed, key) == ref[key], key
+    n = parsed.n_paths
+    for key in ("true_offsets", "corrections"):
+        assert same_bits(getattr(parsed, key), ref[key]), key
+    for key in ("measured", "attacks"):
+        assert same_bits(getattr(parsed, key), np.reshape(ref[key], (-1, n))), key
+    assert parsed.flags.dtype == bool
+    for key in ("true_offsets", "measured", "flags", "corrections", "attacks"):
+        assert not getattr(parsed, key).flags.writeable, key
+    assert parsed.flags.tolist() == [list(row) for row in ref["flags"]]
+    counts, path_counts, curve = parsed_stats(parsed)
+    assert (counts, path_counts, curve) == reference_stats(ref)
+    return parsed
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_parser_matches_the_row_parser_on_presets(name, method, tmp_path):
+    result = run_scenario(preset(name, method=method, seed=1))
+    parsed = assert_parsers_agree(write_run_csv(result, tmp_path / "run.csv"))
+    assert len(parsed.epochs) == result.scenario.n_epochs
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+def written_run(scenario, csv_dir):
+    """``(result, csv_path)`` of a scenario the engine accepts."""
+    try:
+        result = run_scenario(scenario)
+    except ValueError:  # the clock left the float range; nothing to write
+        assume(False)
+    return result, write_run_csv(result, csv_dir / "run.csv")
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenarios())
+def test_parser_matches_the_row_parser_on_random_runs(csv_dir, scenario):
+    _, path = written_run(scenario, csv_dir)
+    assert_parsers_agree(path)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenarios())
+def test_csv_round_trip_keeps_flags_counts_and_tdev(csv_dir, scenario):
+    result, path = written_run(scenario, csv_dir)
+    parsed = parse_run_csv(path)
+    assert np.array_equal(parsed.flags, result.flags)
+    assert np.array_equal(parsed.attacks, result.attacks)
+    counts, path_counts, curve = parsed_stats(parsed)
+    assert counts == result.counts
+    assert path_counts == result.path_counts
+    if result.tdev is None:
+        assert curve is None
+    else:
+        assert curve.taus == result.tdev.taus
+        for a, b in zip(curve.deviations, result.tdev.deviations):
+            assert abs(a - b) <= TDEV_TOLERANCE_S
+
+
+@pytest.fixture(scope="module")
+def good_lines():
+    """Lines of a short 3-path DS2 run's CSV whose flag cells hold both 0 and 1."""
+    scenario = Scenario(
+        name="edge",
+        n_paths=3,
+        n_epochs=40,
+        method="DS2",
+        seed=2,
+        attack_rules=(PeriodicAttackRule((1,), 10.0, 5.0, 1e-8),),
+    )
+    lines = run_csv_text(scenario, run_scenario(scenario).records).splitlines()
+    assert {line.split(",")[FLAG_2] for line in lines[FIRST_ROW:]} == {"0", "1"}
+    return lines
+
+
+#: Index of the first data line: six preamble lines and the header come first.
+FIRST_ROW = 7
+#: Cell index of path 2's flag in a 3-path row.
+FLAG_2 = 6
+
+
+def set_cell(lines, row, cell, value):
+    cells = lines[FIRST_ROW + row].split(",")
+    cells[cell] = value
+    lines[FIRST_ROW + row] = ",".join(cells)
+
+
+def drop_last_cell(lines, rows):
+    for row in rows:
+        lines[FIRST_ROW + row] = lines[FIRST_ROW + row].rpartition(",")[0]
+
+
+MALFORMED = {
+    "every row short": lambda lines: drop_last_cell(lines, range(len(lines) - FIRST_ROW)),
+    "one row short": lambda lines: drop_last_cell(lines, [5]),
+    "non-numeric cell": lambda lines: set_cell(lines, 3, 2, "abc"),
+    "non-integer epoch": lambda lines: set_cell(lines, 2, 0, "2.5"),
+    "flag cell 2": lambda lines: set_cell(lines, 1, FLAG_2, "2"),
+}
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_rows_are_rejected_naming_the_file(case, good_lines, tmp_path, capsys):
+    lines = list(good_lines)
+    MALFORMED[case](lines)
+    path = write_lines(tmp_path / "bad.csv", lines)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        reference_parse(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        parse_run_csv(path)
+    assert cli_main(["report", str(path)]) == 2
+    assert "invalid data" in capsys.readouterr().err
+
+
+def test_a_flag_written_as_one_point_zero_is_accepted(good_lines, tmp_path):
+    lines = list(good_lines)
+    row = next(k for k, line in enumerate(lines[FIRST_ROW:]) if line.split(",")[FLAG_2] == "1")
+    set_cell(lines, row, FLAG_2, "1.0")
+    path = write_lines(tmp_path / "relaxed.csv", lines)
+    with pytest.raises(ValueError, match="flag"):
+        reference_parse(path)
+    parsed = parse_run_csv(path)
+    original = parse_run_csv(write_lines(tmp_path / "good.csv", good_lines))
+    assert parsed.flags[row, 1]
+    assert np.array_equal(parsed.flags, original.flags)
+
+
+def test_header_only_csv_parses_to_an_empty_run(good_lines, tmp_path, capsys):
+    path = write_lines(tmp_path / "empty.csv", good_lines[:FIRST_ROW])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = parse_run_csv(path)
+        stats = parsed_stats(parsed)
+        summary = summarize_parsed(parsed, stats)
+    assert parsed.epochs == ()
+    assert parsed.flags.shape == parsed.measured.shape == (0, 3)
+    assert parsed.warmup == 0
+    counts, path_counts, curve = stats
+    assert (counts, path_counts, curve) == (DetectionCounts(0, 0, 0, 0), (), None)
+    assert stats == reference_stats(reference_parse(path))
+    assert "(run too short)" in summary and "rms=" not in summary
+    assert cli_main(["report", str(path)]) == 0
+    assert capsys.readouterr().out == summary
+
+
+@pytest.mark.parametrize("n_paths", ["0", "-1"])
+def test_a_preamble_without_paths_is_rejected(n_paths, good_lines, tmp_path):
+    lines = [
+        f"# n_paths={n_paths}" if line.startswith("# n_paths=") else line for line in good_lines
+    ]
+    with pytest.raises(ValueError, match="n_paths must be positive"):
+        parse_run_csv(write_lines(tmp_path / "bad.csv", lines))
