@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Sequence
+from typing import Iterable, Sequence
 
 _STD_NORMAL = NormalDist()
 
@@ -25,6 +25,19 @@ def norm_quantile(p: float) -> float:
 def norm_cdf(t: float) -> float:
     """CDF of the standard normal distribution."""
     return _STD_NORMAL.cdf(t)
+
+
+def left_sum(xs: Iterable[float]) -> float:
+    """Floats of ``xs`` added strictly left to right, starting at ``0.0``.
+
+    The builtin ``sum`` of floats is compensated from Python 3.12 on and
+    plain before it, so its last bits depend on the interpreter; a run
+    must be the same on every supported version.
+    """
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def centred_axis(ts: Sequence[float]) -> tuple:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from ._util import ols_slope
+from ._util import left_sum, ols_slope
 from .clocksim import NoiseConfig
 from .evidence import threshold_for_false_alarm
 
@@ -39,7 +39,7 @@ def fta_update(offsets: Sequence[float]) -> float:
     if len(offsets) < 3:
         raise ValueError("fault-tolerant averaging needs at least three paths")
     kept = sorted(offsets)[1:-1]
-    mean = sum(kept) / len(kept)
+    mean = left_sum(kept) / len(kept)
     return -min(max(mean, kept[0]), kept[-1])
 
 

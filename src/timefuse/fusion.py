@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import logistic, ols_slope
+from ._util import left_sum, logistic, ols_slope
 from .clocksim import NoiseConfig
 from .evidence import (
     Calibration,
@@ -154,7 +154,7 @@ def residual_sigmas(noise: NoiseConfig) -> tuple:
     per_path = [
         sd * sd + sm * sm for sd, sm in zip(noise.sigma_link, noise.sigma_meas)
     ]
-    mean_corr_var = sum(per_path) / noise.n_paths**2
+    mean_corr_var = left_sum(per_path) / noise.n_paths**2
     self_sigmas = tuple(
         math.sqrt(v + noise.sigma_offset**2 + mean_corr_var) for v in per_path
     )
@@ -291,7 +291,7 @@ def compute_update(
     ]
     if not kept:
         return -drift * tau
-    return -sum(kept) / len(kept)
+    return -left_sum(kept) / len(kept)
 
 
 def estimate_frequency(

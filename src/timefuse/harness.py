@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import centred_axis, logistic, slope_on_axis
+from ._util import centred_axis, left_sum, logistic, slope_on_axis
 from .baselines import fta_update, make_single_state, single_update
 from .clocksim import (
     EventSchedule,
@@ -632,8 +632,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     classify the paths (method-dependent), and compute the next
     correction.  The frequency estimate feeding the fused detector is fit
     over a window of the accumulated steered offsets from strictly
-    earlier epochs.  The DS steering mean is a Python ``sum`` over the
-    kept reports in path order; ``np.sum`` would reorder the additions.
+    earlier epochs.  The DS steering mean adds the kept reports left to
+    right in path order (:func:`~timefuse._util.left_sum`); ``np.sum``
+    would reorder the additions.
     """
     n = scenario.n_paths
     tau = scenario.tau
@@ -677,7 +678,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 drift_est = 0.0
             sums = fused_log_odds(x, calibs, drift_est, tau, method).tolist()
             kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
-            correction = -sum(kept) / len(kept) if kept else -drift_est * tau
+            correction = -left_sum(kept) / len(kept) if kept else -drift_est * tau
             if scenario.quarantine:
                 quarantine_left = [
                     scenario.quarantine if s > 0.0 else max(q - 1, 0)
@@ -840,11 +841,13 @@ def parse_run_csv(path) -> ParsedRun:
     After the preamble and the header, every row is read by one
     ``np.loadtxt`` call, which pulls the open file line by line, so the
     file's text is never held whole.  Each row must have the header's
-    cell count and every cell must be a number; an epoch cell must be an
-    integer and a flag cell must equal 0 or 1 (so ``1.0`` is accepted as
-    a flag).  Empty lines are skipped.  Raises :class:`ValueError` on
-    malformed content (the message includes the file name) and
-    propagates I/O errors unchanged.
+    cell count and every cell must be a finite number (``np.loadtxt``
+    accepts ``nan`` and ``inf``, which the writer never produces and
+    which would silently poison the report's statistics); an epoch cell
+    must be an integer and a flag cell must equal 0 or 1 (so ``1.0`` is
+    accepted as a flag).  Empty lines are skipped.  Raises
+    :class:`ValueError` on malformed content (the message includes the
+    file name) and propagates I/O errors unchanged.
     """
     path = Path(path)
 
@@ -889,6 +892,10 @@ def parse_run_csv(path) -> ParsedRun:
                 fail(str(exc))
     if table.shape[1] != len(expected):
         fail(f"rows have {table.shape[1]} cells, expected {len(expected)}")
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        fail(f"row {row} has a non-finite {expected[col]} cell")
     epochs = table[:, 0]
     # a double holds every integer up to 2**53 exactly
     ok = (np.abs(epochs) <= 2**53) & (epochs == np.trunc(epochs))

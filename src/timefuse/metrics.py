@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DetectionCounts",
@@ -24,8 +23,13 @@ def tdev(x: Sequence[float], n: int, tau0: float) -> float:
     ``x`` must be sampled on a uniform ``tau0`` grid and contain at least
     ``3 * n + 1`` points.  The statistic is the RMS of length-``n`` block
     sums of the ``n``-spaced second differences of ``x``, normalised by
-    ``sqrt(6) * n``; a constant or perfectly linear series yields exactly
-    zero.
+    ``sqrt(6) * n`` (Riley, NIST SP 1065, 2008).  Each block sum is the
+    difference of two entries of one running sum of the second
+    differences, so a factor costs O(E) for E points and a whole 1-2-5
+    ladder O(E log E).  The second differences are formed before anything
+    is summed, so wherever every one of them is zero (a constant series,
+    or a linear one whose steps are exact in floating point) the running
+    sum is all zeros and the result is exactly ``0.0``.
     """
     if n < 1:
         raise ValueError("averaging factor must be at least 1")
@@ -39,7 +43,8 @@ def tdev(x: Sequence[float], n: int, tau0: float) -> float:
             f"need at least {3 * n + 1} points for averaging factor {n}, got {arr.size}"
         )
     second_diff = arr[2 * n :] - 2.0 * arr[n:-n] + arr[: -2 * n]
-    block_sums = sliding_window_view(second_diff, n).sum(axis=1)
+    running = np.concatenate(([0.0], np.cumsum(second_diff)))
+    block_sums = running[n:] - running[:-n]
     return float(np.sqrt(np.mean(block_sums**2) / (6.0 * n * n)))
 
 

@@ -289,3 +289,18 @@ def test_a_preamble_without_paths_is_rejected(n_paths, good_lines, tmp_path):
     ]
     with pytest.raises(ValueError, match="n_paths must be positive"):
         parse_run_csv(write_lines(tmp_path / "bad.csv", lines))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["true_theta_ps", "theta_m_2_ps"])
+def test_non_finite_cells_are_rejected_naming_the_file_and_row(
+    column, value, good_lines, tmp_path, capsys
+):
+    lines = list(good_lines)
+    set_cell(lines, 35, _csv_header(3).index(column), value)
+    path = write_lines(tmp_path / "non_finite.csv", lines)
+    message = f"{path}: row 35 has a non-finite {column} cell"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_run_csv(path)
+    assert cli_main(["report", str(path)]) == 2
+    assert "invalid data" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 """Tests for scenario configuration, the epoch loop, CSV emission, and sweeps."""
 
+import builtins
 import hashlib
 import json
 import math
 from dataclasses import replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from timefuse import (
@@ -17,6 +21,7 @@ from timefuse import (
     preset,
     run_scenario,
 )
+from timefuse import _util, baselines, clocksim, evidence, fusion, harness, metrics
 from timefuse.harness import (
     emit,
     format_sweep_table,
@@ -309,7 +314,8 @@ class TestRunScenario:
             matches = [
                 paths
                 for paths in (range(5), [0, 1, 3, 4])
-                if records[epoch].correction == -sum(offsets[i] for i in paths) / len(paths)
+                if records[epoch].correction
+                == -reduce(add, (offsets[i] for i in paths), 0.0) / len(paths)
             ]
             assert len(matches) == 1
             return list(matches[0])
@@ -336,6 +342,36 @@ def test_preset_csv_bytes_match_the_committed_digests(name, method, golden_prese
     text = run_csv_text(sc, run_scenario(sc).records)
     expected = golden_preset_runs[f"{name}_{method}_seed1"]["csv"]
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def compensated_sum(items, start=0):
+    """The builtin ``sum`` of Python 3.12 on: Neumaier-compensated over floats."""
+    items = list(items)
+    if start != 0 or not all(isinstance(x, float) for x in items):
+        return builtins.sum(items, start)
+    total = c = 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.mark.parametrize("method", ["DS2", "FTA", "Single"])
+@pytest.mark.parametrize("name", ["fig3", "fig5a", "exp3"])
+def test_runs_do_not_depend_on_the_builtin_float_sum(name, method, monkeypatch):
+    def run_columns():
+        r = run_scenario(preset(name, method=method, seed=1))
+        columns = (r.corrections, r.log_odds, r.flags)
+        return [None if c is None else np.asarray(c).tobytes() for c in columns]
+
+    plain = run_columns()
+    for module in (_util, baselines, clocksim, evidence, fusion, harness, metrics):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert run_columns() == plain
 
 
 class TestCsvRoundTrip:

@@ -33,6 +33,38 @@ def tdev_reference(x, n, tau0):
     return math.sqrt(total / (6.0 * n * n * count))
 
 
+def tdev_exact(x, n):
+    """Time deviation in exact integer arithmetic, without numpy.
+
+    Every sample is scaled to an integer on one power-of-two grid (exact,
+    via ``float.as_integer_ratio``), so the second differences, their
+    running sum and the block sums are exact; only the final mean square
+    is rounded to a float.
+    """
+    ratios = [float(v).as_integer_ratio() for v in x]
+    scale = max(den for _, den in ratios)
+    ints = [num * (scale // den) for num, den in ratios]
+    running = [0]
+    for i in range(len(ints) - 2 * n):
+        running.append(running[-1] + ints[i + 2 * n] - 2 * ints[i + n] + ints[i])
+    blocks = [b - a for a, b in zip(running, running[n:])]
+    square_sum = sum(b * b for b in blocks)
+    return math.sqrt(square_sum / (scale * scale * 6 * n * n * len(blocks)))
+
+
+def long_series():
+    """20,000-point phase series in seconds, long enough for factors up to 5,000."""
+    rng = np.random.default_rng(2008)
+    size = 20_000
+    noise = rng.normal(0.0, 25e-12, size=size)
+    return {
+        "white noise": noise,
+        "noise on a 1 us bias": 1e-6 + noise,
+        "random walk": np.cumsum(rng.normal(0.0, 1e-12, size=size)),
+        "1 ns step": noise + np.where(np.arange(size) >= size // 2, 1e-9, 0.0),
+    }
+
+
 class TestTdev:
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 50])
     def test_matches_direct_summation(self, n):
@@ -53,6 +85,26 @@ class TestTdev:
         x = 2.0 ** -42 * np.arange(100) + 2.0 ** -37
         for n in (1, 2, 5, 10):
             assert tdev(x, n, 1.0) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(long_series()))
+    def test_ladder_matches_exact_arithmetic(self, name):
+        x = long_series()[name]
+        curve = tdev_curve(x, 1.0)
+        assert curve.taus[-1] == 5000.0
+        for tau, got in zip(curve.taus, curve.deviations):
+            assert got == pytest.approx(tdev_exact(x.tolist(), int(tau)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.full(20_000, 3.5e-9), 2.0**-42 * np.arange(20_000) + 2.0**-37],
+        ids=["constant", "power-of-two ramp"],
+    )
+    def test_exact_zeros_hold_up_to_the_largest_factor(self, x):
+        curve = tdev_curve(x, 1.0)
+        assert curve.taus[-1] == 5000.0
+        for tau, got in zip(curve.taus, curve.deviations):
+            assert tdev_exact(x.tolist(), int(tau)) == 0.0
+            assert got == 0.0
 
     def test_white_noise_level(self):
         # for white phase noise the deviation at the base interval equals
