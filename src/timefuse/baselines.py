@@ -65,21 +65,15 @@ def make_single_state(
     p_false_alarm: float,
     two_sided: bool = False,
     window: int = 30,
-    path: int = 0,
 ) -> SingleDetectorState:
-    """Initial detector state for steering on one path of ``noise``.
+    """Initial detector state for steering on path 0 of ``noise``.
 
     The residual of a steered clock against its frequency prediction
     carries the current link+measurement noise, the same noise injected
     by the previous epoch's correction, and one phase-walk increment.
     """
-    if not 0 <= path < noise.n_paths:
-        raise ValueError(f"path {path} outside 0..{noise.n_paths - 1}")
-    if window < 2:
-        raise ValueError("window must be at least 2")
     sigma = math.sqrt(
-        2.0 * (noise.sigma_link[path] ** 2 + noise.sigma_meas[path] ** 2)
-        + noise.sigma_offset**2
+        2.0 * (noise.sigma_link[0] ** 2 + noise.sigma_meas[0] ** 2) + noise.sigma_offset**2
     )
     return SingleDetectorState(
         threshold=threshold_for_false_alarm(sigma, p_false_alarm, two_sided),
@@ -97,8 +91,6 @@ def single_update(
     rejected outright: the clock coasts on the prediction and neither the
     window nor the frequency estimate sees the suspect value.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
     prediction = state.drift * tau
     if abs(offset - prediction) > state.threshold:
         return (

@@ -75,8 +75,11 @@ def _cmd_run(args) -> int:
     if args.method is not None:
         scenario = replace(scenario, method=args.method)
     result = run_scenario(scenario)
-    print(summarize_run(result), end="")
-    for path in emit(result, args.out, formats=args.format):
+    written = emit(result, args.out, formats=args.format)
+    # print the summary file emit wrote rather than format the summary again
+    summary = dict(zip(args.format, written)).get("summary")
+    print(summarize_run(result) if summary is None else summary.read_text("utf-8"), end="")
+    for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -32,16 +32,14 @@ per-epoch draws of :func:`step_clock` and :func:`observe_path`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "AttackEvent",
     "ClockState",
     "EventSchedule",
-    "JumpEvent",
     "NoiseConfig",
     "PathObservation",
     "PeriodicAttackRule",
@@ -73,6 +71,8 @@ class NoiseConfig:
     ``sigma_offset`` and ``sigma_drift`` are per-step random-walk
     increments of the clock phase (s) and frequency (s/s).  ``sigma_link``
     and ``sigma_meas`` hold one per-path white-noise sigma each (s).
+    :meth:`Scenario.noise <timefuse.harness.Scenario.noise>` builds one
+    from a validated scenario; nothing is checked here.
     """
 
     sigma_offset: float
@@ -80,22 +80,6 @@ class NoiseConfig:
     sigma_link: tuple
     sigma_meas: tuple
     tau: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_link", tuple(float(s) for s in self.sigma_link))
-        object.__setattr__(self, "sigma_meas", tuple(float(s) for s in self.sigma_meas))
-        if len(self.sigma_link) != len(self.sigma_meas):
-            raise ValueError("sigma_link and sigma_meas must have equal length")
-        if len(self.sigma_link) < 2:
-            raise ValueError("need at least two paths")
-        for name in ("sigma_offset", "sigma_drift", "tau"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-        if any(s < 0.0 or not math.isfinite(s) for s in self.sigma_link + self.sigma_meas):
-            raise ValueError("per-path sigmas must be finite and non-negative")
 
     @property
     def n_paths(self) -> int:
@@ -114,24 +98,6 @@ class PathObservation:
     epoch: int
     measured_offset: float
     attack_truth: float
-
-
-@dataclass(frozen=True)
-class AttackEvent:
-    """A delay-attack bias on one path starting at ``epoch`` for ``duration`` epochs."""
-
-    path: int
-    epoch: int
-    magnitude: float
-    duration: int = 1
-
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """An instantaneous step of the true clock offset at ``epoch``."""
-
-    epoch: int
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -157,126 +123,98 @@ class PeriodicJumpRule:
     magnitude_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventSchedule:
-    """Expanded, validated event lists for one run.
+    """A run's events as two read-only arrays, made by :func:`build_schedule`.
 
-    Attack events may not overlap on a single path.  Multiple jump
-    events on the same epoch are rejected.  Lookup helpers return the
-    active magnitude (0.0 when nothing is scheduled).
+    ``attacks[e, p]`` is the delay-attack bias on path ``p`` at epoch
+    ``e`` and ``jumps[e]`` the clock jump at epoch ``e``; both are 0.0
+    where nothing is scheduled.
     """
 
-    attacks: tuple
-    jumps: tuple
-    n_epochs: int
-    _attack_map: dict = field(default_factory=dict, repr=False, compare=False)
-    _jump_map: dict = field(default_factory=dict, repr=False, compare=False)
+    attacks: np.ndarray
+    jumps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_epochs < 1:
-            raise ValueError("n_epochs must be at least 1")
-        attack_map: dict = {}
-        for ev in self.attacks:
-            if ev.duration < 1:
-                raise ValueError(f"attack duration must be >= 1: {ev}")
-            if not 0 <= ev.epoch < self.n_epochs:
-                raise ValueError(f"attack event outside run: {ev}")
-            for e in range(ev.epoch, min(ev.epoch + ev.duration, self.n_epochs)):
-                key = (ev.path, e)
-                if key in attack_map:
-                    raise ValueError(
-                        f"overlapping attack events on path {ev.path} at epoch {e}"
-                    )
-                attack_map[key] = ev.magnitude
-        jump_map: dict = {}
-        for ev in self.jumps:
-            if not 0 <= ev.epoch < self.n_epochs:
-                raise ValueError(f"jump event outside run: {ev}")
-            if ev.epoch in jump_map:
-                raise ValueError(f"duplicate jump events at epoch {ev.epoch}")
-            jump_map[ev.epoch] = ev.magnitude
-        object.__setattr__(self, "_attack_map", attack_map)
-        object.__setattr__(self, "_jump_map", jump_map)
-
-    def attack_on(self, path: int, epoch: int) -> float:
-        return self._attack_map.get((path, epoch), 0.0)
-
-    def jump_on(self, epoch: int) -> float:
-        return self._jump_map.get(epoch, 0.0)
-
-    @property
-    def attack_epochs(self) -> set:
-        """Epochs at which at least one path is under attack."""
-        return {e for (_, e) in self._attack_map}
+        self.attacks.flags.writeable = False
+        self.jumps.flags.writeable = False
 
     @property
     def jump_epochs(self) -> set:
-        return set(self._jump_map)
-
-    def attacked_paths(self, epoch: int) -> tuple:
-        return tuple(sorted(p for (p, e) in self._attack_map if e == epoch))
-
-    def attack_matrix(self, n_paths: int) -> np.ndarray:
-        """Active attack magnitude of every (epoch, path) cell, ``(n_epochs, n_paths)``."""
-        matrix = np.zeros((self.n_epochs, n_paths))
-        for (path, epoch), magnitude in self._attack_map.items():
-            if not 0 <= path < n_paths:
-                raise ValueError(f"attack on path {path} outside 0..{n_paths - 1}")
-            matrix[epoch, path] = magnitude
-        return matrix
+        """Epochs with a non-zero clock jump."""
+        return set(np.flatnonzero(self.jumps).tolist())
 
 
-def _rule_epochs(period_s: float, phase_s: float, n_epochs: int, tau: float) -> range:
-    """Epoch indices hit by a periodic rule; period and phase must be whole epochs."""
-    if period_s <= 0.0:
-        raise ValueError("rule period must be positive")
-    if phase_s < 0.0:
-        raise ValueError("rule phase must be non-negative")
+def _rule_epochs(period_s: float, phase_s: float, n_epochs: int, tau: float) -> np.ndarray:
+    """Epoch indices hit by a periodic rule, after checking its period and phase."""
     period = period_s / tau
     phase = phase_s / tau
-    if abs(period - round(period)) > 1e-9 or abs(phase - round(phase)) > 1e-9:
+    if not (math.isfinite(period) and math.isfinite(phase)):
+        raise ValueError("rule period and phase must be finite")
+    step, start = round(period), round(phase)
+    if abs(period - step) > 1e-9 or abs(phase - start) > 1e-9:
         raise ValueError("rule period and phase must be whole numbers of epochs")
-    return range(int(round(phase)), n_epochs, int(round(period)))
+    if step < 1:
+        raise ValueError("rule period must be positive")
+    if phase < 0.0:
+        raise ValueError("rule phase must be non-negative")
+    # a period or phase beyond the run hits the same epochs as one at its end
+    return np.arange(min(start, n_epochs), n_epochs, min(step, n_epochs))
 
 
 def build_schedule(
-    attack_rules: Iterable[PeriodicAttackRule] = (),
-    jump_rules: Iterable[PeriodicJumpRule] = (),
-    n_epochs: int = 1,
-    tau: float = 1.0,
-    shift_jump_on_collision: bool = True,
+    attack_rules: Iterable[PeriodicAttackRule],
+    jump_rules: Iterable[PeriodicJumpRule],
+    n_epochs: int,
+    n_paths: int,
+    tau: float,
 ) -> EventSchedule:
-    """Expand periodic rules into an explicit, validated :class:`EventSchedule`.
+    """Expand periodic rules into a run's :class:`EventSchedule`, checking them.
 
     Schedules are purely structural -- no randomness is involved, so the
-    same rules always expand to the same events.  When
-    ``shift_jump_on_collision`` is set (the default), a jump falling on
-    an epoch where any attack is active is postponed one epoch at a time
-    until the collision clears; jumps pushed past the end of the run are
-    dropped.
+    same rules always expand to the same arrays.  An attack covers
+    ``duration_epochs`` epochs from each hit, cut at the end of the run.
+    A jump falling on an epoch where any attack is active is postponed to
+    the next epoch with none; jumps pushed past the end of the run are
+    dropped.  Raises :class:`ValueError` when a period or phase is not a
+    finite whole number of epochs, a period is not positive, a phase is
+    negative, an attack names a path outside ``0..n_paths - 1``, two
+    attacks cover one (epoch, path) cell (a rule listing a path twice
+    included), or two jumps land on one epoch.  Attack durations must be
+    at least 1; :class:`~timefuse.harness.Scenario` checks that.
     """
-    attacks = []
+    attacks = np.zeros((n_epochs, n_paths))
+    cells = [np.empty(0, dtype=np.intp)]
     for rule in attack_rules:
-        for e in _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau):
-            for p in rule.paths:
-                attacks.append(AttackEvent(p, e, rule.magnitude_s, rule.duration_epochs))
-    attacks.sort(key=lambda ev: (ev.epoch, ev.path))
+        bad = [p for p in rule.paths if not 0 <= p < n_paths]
+        if bad:
+            raise ValueError(f"attack rule paths {bad} outside 0..{n_paths - 1}")
+        starts = _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau)
+        epochs = (starts[:, None] + np.arange(rule.duration_epochs)).ravel()
+        epochs = epochs[epochs < n_epochs]
+        flat = (epochs[:, None] * n_paths + np.array(rule.paths, dtype=np.intp)).ravel()
+        attacks.flat[flat] = rule.magnitude_s
+        cells.append(flat)
+    hits = np.bincount(np.concatenate(cells), minlength=attacks.size)
+    if (hits > 1).any():
+        epoch, path = divmod(int(np.argmax(hits > 1)), n_paths)
+        raise ValueError(f"overlapping attack events on path {path} at epoch {epoch}")
 
-    attacked_epochs = set()
-    for ev in attacks:
-        attacked_epochs.update(range(ev.epoch, ev.epoch + ev.duration))
-
-    jumps = []
+    # a jump lands on the first epoch, at or after its own, with no attack on any path
+    free = np.flatnonzero(~hits.reshape(n_epochs, n_paths).any(axis=1))
+    next_free = np.append(free, n_epochs)
+    jumps = np.zeros(n_epochs)
+    landed = [np.empty(0, dtype=np.intp)]
     for rule in jump_rules:
-        for e in _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau):
-            if shift_jump_on_collision:
-                while e in attacked_epochs:
-                    e += 1
-            if e < n_epochs:
-                jumps.append(JumpEvent(e, rule.magnitude_s))
-    jumps.sort(key=lambda ev: ev.epoch)
-
-    return EventSchedule(tuple(attacks), tuple(jumps), n_epochs)
+        due = _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau)
+        epochs = next_free[np.searchsorted(free, due)]
+        epochs = epochs[epochs < n_epochs]
+        jumps[epochs] = rule.magnitude_s
+        landed.append(epochs)
+    counts = np.bincount(np.concatenate(landed), minlength=n_epochs)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate jump events at epoch {int(np.argmax(counts > 1))}")
+    return EventSchedule(attacks, jumps)
 
 
 class RngStreams:
@@ -365,7 +303,7 @@ def observe_path(
         raise ValueError("true_offset must be finite")
     w_link = rng.normal(0.0, noise.sigma_link[path_id])
     w_meas = rng.normal(0.0, noise.sigma_meas[path_id])
-    truth = schedule.attack_on(path_id, epoch)
+    truth = float(schedule.attacks[epoch, path_id])
     return PathObservation(
         path_id=path_id,
         epoch=epoch,

@@ -188,9 +188,6 @@ class Scenario:
         for rule in self.attack_rules:
             if not rule.paths:
                 raise ScenarioError("attack_rules: rule with no paths")
-            bad = [p for p in rule.paths if not 0 <= p < self.n_paths]
-            if bad:
-                raise ScenarioError(f"attack_rules: paths {bad} outside 0..{self.n_paths - 1}")
             if rule.duration_epochs < 1:
                 raise ScenarioError("attack_rules: duration_epochs must be >= 1")
             if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
@@ -198,6 +195,10 @@ class Scenario:
         for rule in self.jump_rules:
             if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
                 raise ScenarioError("jump_rules: magnitude_s must be non-zero")
+        try:
+            self.schedule()
+        except ValueError as exc:
+            raise ScenarioError(f"event rules: {exc}") from exc
 
     @property
     def warmup(self) -> int:
@@ -217,12 +218,10 @@ class Scenario:
         )
 
     def schedule(self) -> EventSchedule:
-        try:
-            return build_schedule(
-                self.attack_rules, self.jump_rules, self.n_epochs, self.tau
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"event rules: {exc}") from exc
+        """The expanded event rules; :meth:`__post_init__` has checked they expand."""
+        return build_schedule(
+            self.attack_rules, self.jump_rules, self.n_epochs, self.n_paths, self.tau
+        )
 
     def calibrations(self) -> CalibrationSet:
         return build_calibration_set(
@@ -651,9 +650,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     clock_noise, link, meas = draw_noise(
         noise, RngStreams(scenario.seed, n), scenario.n_epochs
     )
-    attacks = schedule.attack_matrix(n)
+    attacks = schedule.attacks
     w_offset, w_drift = clock_noise.T.tolist()
-    jumps = [schedule.jump_on(epoch) for epoch in range(scenario.n_epochs)]
     time_axis = [k * tau for k in range(min(window, scenario.n_epochs))]
     full_axis = centred_axis(time_axis) if len(time_axis) == window else None
 
@@ -663,10 +661,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
     measured = np.empty(attacks.shape)
     log_odds = np.empty(attacks.shape) if calibs is not None else None
     true_offsets, corrections, single_flags = [], [], []
-    for epoch, cells in enumerate(_row_blocks(link, meas, attacks)):
-        offset = offset + correction + drift * tau + w_offset[epoch] + jumps[epoch]
+    rows = _row_blocks(schedule.jumps, link, meas, attacks)
+    for epoch, (jump, link_row, meas_row, attack_row) in enumerate(rows):
+        offset = offset + correction + drift * tau + w_offset[epoch] + jump
         drift = drift + w_drift[epoch]
-        x = [offset + w + v + a for w, v, a in zip(*cells)]
+        x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
 
         if calibs is not None:
             points = z_history[-window:]

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from timefuse import NoiseConfig, fta_update, make_single_state, single_update
+from timefuse import (
+    NoiseConfig,
+    Scenario,
+    ScenarioError,
+    fta_update,
+    make_single_state,
+    single_update,
+)
 
 Z_1E6 = 4.753424308817089
 
@@ -53,12 +60,6 @@ class TestMakeSingleState:
         assert state.window == ()
         assert state.drift == 0.0
         assert state.window_len == 30
-
-    def test_selectable_path(self):
-        noise = NoiseConfig(10e-12, 1e-12, (10e-12,) * 3, (25e-12, 30e-12, 35e-12), tau=1.0)
-        a = make_single_state(noise, 1e-6, path=0)
-        b = make_single_state(noise, 1e-6, path=2)
-        assert b.threshold > a.threshold
 
 
 class TestSingleUpdate:
@@ -117,13 +118,14 @@ class TestSingleUpdate:
             assert flagged
             assert state.window == frozen
 
+    def test_rejects_nonpositive_tau(self):
+        # single_update trusts its tau: a scenario with a non-positive one never builds
+        for tau in (0.0, -1.0):
+            with pytest.raises(ScenarioError, match="tau"):
+                Scenario(name="x", n_paths=3, n_epochs=10, method="Single", tau=tau)
+
     def test_window_is_bounded(self):
         state = make_single_state(NOISE5, 1e-6, window=4)
         for k in range(10):
             _, _, state = single_update(k * 1e-12, state, tau=1.0)
         assert len(state.window) == 4
-
-    def test_rejects_nonpositive_tau(self):
-        state = make_single_state(NOISE5, 1e-6)
-        with pytest.raises(ValueError, match="tau"):
-            single_update(0.0, state, tau=0.0)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from timefuse import cli, harness
-from timefuse.harness import parse_run_csv
+from timefuse.harness import parse_run_csv, run_scenario, scenario_from_dict, summarize_run
 
 
 def run_cli(argv, capsys):
@@ -44,6 +44,35 @@ class TestExitCodes:
         code, _, err = run_cli(["run", str(path)], capsys)
         assert code == 2
         assert "invalid scenario" in err
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            {"jumps": [{"period_s": 30.0, "phase_s": float("inf"), "magnitude_s": 1e-9}]},
+            {"jumps": [{"period_s": float("nan"), "phase_s": 0.0, "magnitude_s": 1e-9}]},
+            {
+                "attacks": [
+                    {
+                        "paths": [0],
+                        "period_s": 10.0,
+                        "phase_s": 0.0,
+                        "magnitude_s": 1e-8,
+                        "duration_epochs": 3,
+                    },
+                    {"paths": [0, 1], "period_s": 10.0, "phase_s": 2.0, "magnitude_s": 1e-8},
+                ]
+            },
+        ],
+    )
+    def test_bad_event_rules_are_a_scenario_error(self, rules, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "x", "n_paths": 3, "n_epochs": 60, **rules}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["run", str(path), "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert "invalid scenario: event rules: " in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_nonpositive_seed_count_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(["sweep", "--preset", "fig3", "--seeds", "0"], capsys)
@@ -106,6 +135,35 @@ class TestPresetAndRun:
         )
         assert code == 0
         assert (tmp_path / "s_FTA_seed1.csv").exists()
+
+    @pytest.mark.parametrize(
+        "formats", [["csv", "summary", "plotdata"], ["plotdata", "summary"], ["csv"]]
+    )
+    def test_run_formats_the_summary_once(self, formats, capsys, tmp_path, monkeypatch):
+        data = {"name": "s", "n_paths": 3, "n_epochs": 80}
+        scn = tmp_path / "s.json"
+        scn.write_text(json.dumps(data))
+        summary = summarize_run(run_scenario(scenario_from_dict(data)))
+        calls = []
+        summarize = harness.summarize_run
+
+        def counted(result):
+            calls.append(result.scenario.name)
+            return summarize(result)
+
+        monkeypatch.setattr(harness, "summarize_run", counted)
+        monkeypatch.setattr(cli, "summarize_run", counted)
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            ["run", str(scn), "--out", str(out_dir), "--format", *formats], capsys
+        )
+        assert code == 0
+        assert calls == ["s"]
+        suffixes = {"csv": ".csv", "summary": "_summary.txt", "plotdata": "_tdev.csv"}
+        written = [out_dir / f"s_DS2_seed1{suffixes[f]}" for f in formats]
+        assert out == summary + "".join(f"wrote {path}\n" for path in written)
+        if "summary" in formats:
+            assert (out_dir / "s_DS2_seed1_summary.txt").read_bytes() == summary.encode()
 
     def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
         scn = tmp_path / "s.json"

@@ -4,7 +4,7 @@ import builtins
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -54,6 +54,26 @@ def mini():
 @pytest.fixture(scope="module")
 def mini_result(mini):
     return run_scenario(mini)
+
+
+#: Rules that passed ``Scenario(...)`` and then failed the run, one per kind.
+BAD_EVENT_RULES = {
+    "zero period": {"jump_rules": (PeriodicJumpRule(0.0, 0.0, 1e-9),)},
+    "period of 1.5 epochs": {"jump_rules": (PeriodicJumpRule(1.5, 0.0, 1e-9),)},
+    "negative phase": {"attack_rules": (PeriodicAttackRule((0,), 10.0, -1.0, 1e-8),)},
+    "nan period": {"attack_rules": (PeriodicAttackRule((0,), math.nan, 0.0, 1e-8),)},
+    "overlapping attacks": {
+        "attack_rules": (
+            PeriodicAttackRule((0,), 10.0, 0.0, 1e-8, duration_epochs=3),
+            PeriodicAttackRule((0,), 10.0, 2.0, 1e-8),
+        )
+    },
+    "path listed twice": {"attack_rules": (PeriodicAttackRule((1, 1), 10.0, 0.0, 1e-8),)},
+    "two jumps on one epoch": {
+        "jump_rules": (PeriodicJumpRule(10.0, 0.0, 1e-9), PeriodicJumpRule(5.0, 0.0, 2e-9))
+    },
+    "infinite phase": {"jump_rules": (PeriodicJumpRule(10.0, math.inf, 1e-9),)},
+}
 
 
 class TestScenarioValidation:
@@ -108,6 +128,24 @@ class TestScenarioValidation:
                 jump_rules=(PeriodicJumpRule(30.0, 30.0, 0.0),),
             )
 
+    @pytest.mark.parametrize("case", sorted(BAD_EVENT_RULES))
+    def test_event_rules_are_checked_at_construction(self, case):
+        with pytest.raises(ScenarioError, match="event rules: "):
+            Scenario(name="x", n_paths=3, n_epochs=40, **BAD_EVENT_RULES[case])
+
+    def test_replace_checks_the_rules_again(self):
+        sc = preset("fig5d")
+        assert replace(sc, tau=2.0).schedule().jumps.any()
+        with pytest.raises(ScenarioError, match="whole numbers"):
+            replace(sc, tau=0.7)
+
+    def test_scenario_keeps_no_expanded_schedule(self):
+        sc = preset("fig5d")
+        assert set(vars(sc)) == {f.name for f in fields(sc)}
+        assert not any(isinstance(v, np.ndarray) for v in vars(sc).values())
+        assert replace(sc) == sc and hash(replace(sc)) == hash(sc)
+        assert replace(sc, seed=2) != sc
+
     def test_warmup_never_exceeds_the_run(self):
         short = Scenario(name="x", n_paths=3, n_epochs=10)
         assert short.warmup == 10
@@ -148,12 +186,18 @@ class TestScenarioSerialisation:
         assert sc.attack_rules == ()
 
 
+def attacked_paths(attacks, epoch):
+    return np.flatnonzero(attacks[epoch]).tolist()
+
+
 class TestPresets:
     def test_all_presets_build(self):
         for name in PRESET_NAMES:
             sc = preset(name)
             assert sc.name == name
-            sc.schedule()  # expands without error
+            sched = sc.schedule()
+            assert sched.attacks.shape == (sc.n_epochs, sc.n_paths)
+            assert sched.jumps.shape == (sc.n_epochs,)
 
     def test_unknown_preset(self):
         with pytest.raises(ScenarioError, match="preset"):
@@ -162,32 +206,31 @@ class TestPresets:
     def test_staggered_single_path_attacks(self):
         sc = preset("fig3")
         assert sc.n_paths == 5 and sc.n_epochs == 2000
-        sched = sc.schedule()
+        attacks = sc.schedule().attacks
         for i in range(5):
-            epochs = sorted(e.epoch for e in sched.attacks if e.path == i)
+            epochs = np.flatnonzero(attacks[:, i]).tolist()
             assert len(epochs) == 40
             assert epochs[0] == 10 * i
-        for e in sorted(sched.attack_epochs):
-            assert len(sched.attacked_paths(e)) == 1
+        assert (np.count_nonzero(attacks, axis=1) <= 1).all()
 
     def test_grouped_attacks(self):
-        sched = preset("fig4").schedule()
-        assert sched.attacked_paths(0) == (0, 1)
-        assert sched.attacked_paths(20) == (2, 3)
-        assert sched.attacked_paths(40) == (4,)
+        attacks = preset("fig4").schedule().attacks
+        assert attacked_paths(attacks, 0) == [0, 1]
+        assert attacked_paths(attacks, 20) == [2, 3]
+        assert attacked_paths(attacks, 40) == [4]
 
     def test_clean_condition_has_no_events(self):
         sched = preset("fig5a").schedule()
-        assert sched.attacks == () and sched.jumps == ()
+        assert not sched.attacks.any() and not sched.jumps.any()
 
     def test_jump_condition(self):
         sched = preset("fig5c").schedule()
-        assert sched.attacks == ()
+        assert not sched.attacks.any()
         assert sorted(sched.jump_epochs) == list(range(30, 3000, 30))
 
     def test_combined_condition_postpones_colliding_jumps(self):
         sched = preset("fig5d").schedule()
-        attacked = sched.attack_epochs
+        attacked = set(np.flatnonzero(sched.attacks.any(axis=1)).tolist())
         assert attacked and sched.jump_epochs
         assert not (sched.jump_epochs & attacked)
         # the periodic collision at multiples of 150 lands one epoch late

@@ -72,7 +72,7 @@ class TestTdev:
         x = rng.normal(0.0, 25e-12, size=1000)
         got = tdev(x, n, 1.0)
         want = tdev_reference(x, n, 1.0)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_constant_series_is_exactly_zero(self):
         x = np.full(100, 3.5e-9)
