@@ -22,6 +22,7 @@ __all__ = [
     "SingleDetectorState",
     "fta_update",
     "make_single_state",
+    "single_residual_sigma",
     "single_update",
 ]
 
@@ -60,23 +61,29 @@ class SingleDetectorState:
     epoch: int = 0
 
 
+def single_residual_sigma(noise: NoiseConfig) -> float:
+    """Standard deviation of the single-path detector's residual on path 0.
+
+    The residual of a steered clock against its frequency prediction
+    carries the current link+measurement noise, the same noise injected
+    by the previous epoch's correction, and one phase-walk increment.
+    """
+    return math.sqrt(
+        2.0 * (noise.sigma_link[0] ** 2 + noise.sigma_meas[0] ** 2) + noise.sigma_offset**2
+    )
+
+
 def make_single_state(
     noise: NoiseConfig,
     p_false_alarm: float,
     two_sided: bool = False,
     window: int = 30,
 ) -> SingleDetectorState:
-    """Initial detector state for steering on path 0 of ``noise``.
-
-    The residual of a steered clock against its frequency prediction
-    carries the current link+measurement noise, the same noise injected
-    by the previous epoch's correction, and one phase-walk increment.
-    """
-    sigma = math.sqrt(
-        2.0 * (noise.sigma_link[0] ** 2 + noise.sigma_meas[0] ** 2) + noise.sigma_offset**2
-    )
+    """Initial detector state for steering on path 0 of ``noise``."""
     return SingleDetectorState(
-        threshold=threshold_for_false_alarm(sigma, p_false_alarm, two_sided),
+        threshold=threshold_for_false_alarm(
+            single_residual_sigma(noise), p_false_alarm, two_sided
+        ),
         window_len=window,
     )
 

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._util import centred_axis, left_sum, logistic, slope_on_axis
-from .baselines import fta_update, make_single_state, single_update
+from .baselines import fta_update, make_single_state, single_residual_sigma, single_update
 from .clocksim import (
     EventSchedule,
     NoiseConfig,
@@ -49,6 +49,7 @@ from .fusion import (
     Verdict,
     build_calibration_set,
     fused_log_odds,
+    residual_sigmas,
 )
 from .metrics import DetectionCounts, TdevCurve, per_path_counts, tdev_curve
 
@@ -188,7 +189,10 @@ class Scenario:
         for rule in self.attack_rules:
             if not rule.paths:
                 raise ScenarioError("attack_rules: rule with no paths")
-            if rule.duration_epochs < 1:
+            d = rule.duration_epochs
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise ScenarioError("attack_rules: duration_epochs must be an integer")
+            if d < 1:
                 raise ScenarioError("attack_rules: duration_epochs must be >= 1")
             if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
                 raise ScenarioError("attack_rules: magnitude_s must be non-zero")
@@ -199,6 +203,19 @@ class Scenario:
             self.schedule()
         except ValueError as exc:
             raise ScenarioError(f"event rules: {exc}") from exc
+        # the detectors calibrate on these sigmas when the run starts
+        if self.method == "Single":
+            sigmas = (single_residual_sigma(self.noise()),)
+        elif self.method in VARIANTS:
+            self_sigmas, cross_sigmas = residual_sigmas(self.noise())
+            sigmas = self_sigmas + tuple(cross_sigmas.values())
+        else:
+            sigmas = ()
+        if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
+            raise ScenarioError(
+                f"noise: every residual sigma of the {self.method} detector must be"
+                " positive and finite"
+            )
 
     @property
     def warmup(self) -> int:
@@ -767,6 +784,12 @@ def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     alone suffices to recompute precision, recall and time deviation.
     ``records`` is a run's ledger, :attr:`RunResult.records` or any
     sequence of :class:`EpochRecord`.
+
+    Most rows are quiet: no flag and every attack cell ``+0.0``.  Those
+    rows go through a second template that writes their flag and attack
+    cells as the literal text ``%d`` and ``%.3f`` give for zero, so only
+    the cells that vary are formatted.  A ``-0.0`` attack cell, or one
+    that merely rounds to zero, is not quiet and takes the full template.
     """
     n = scenario.n_paths
     preamble = (
@@ -787,8 +810,22 @@ def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
                 np.asarray(attacks, dtype=float) * _PS,
             ]
         )
-        row = ",".join(["%d", "%.3f"] + ["%.3f"] * n + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
-        out.extend(map(row.__mod__, _row_blocks(*table.T)))
+        head = ["%d", "%.3f"] + ["%.3f"] * n
+        row = ",".join(head + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
+        quiet_row = ",".join(head + ["0"] * n + ["%.3f"] + ["0.000"] * n) + "\n"
+        quiet_cells = np.r_[0 : 2 + n, 2 + 2 * n]
+        attack_cells = table[:, 3 + 2 * n :]
+        quiet = (table[:, 2 + n : 2 + 2 * n] == 0.0).all(axis=1) & (
+            (attack_cells == 0.0) & ~np.signbit(attack_cells)
+        ).all(axis=1)
+        for lo in range(0, len(table), _BLOCK_EPOCHS):
+            block = table[lo : lo + _BLOCK_EPOCHS]
+            q = quiet[lo : lo + _BLOCK_EPOCHS]
+            # each template formats its own rows; the object array puts them back in epoch order
+            rows = np.empty(len(block), dtype=object)
+            rows[q] = list(map(quiet_row.__mod__, zip(*block[q][:, quiet_cells].T.tolist())))
+            rows[~q] = list(map(row.__mod__, zip(*block[~q].T.tolist())))
+            out.extend(rows.tolist())
     return "".join(out)
 
 
@@ -938,7 +975,7 @@ def _format_summary(
     counts: DetectionCounts,
     path_counts: Sequence[DetectionCounts],
     curve: TdevCurve | None,
-    post_errors: Sequence[float],
+    post_errors: Sequence[float] | np.ndarray,
     tau: float,
 ) -> str:
     out = io.StringIO()
@@ -969,12 +1006,14 @@ def _format_summary(
             except KeyError:
                 continue
             out.write(f"  {factor * tau:7g}  {dev * _PS:9.3f}\n")
-    if post_errors:
-        rms = math.sqrt(math.fsum(e * e for e in post_errors) / len(post_errors))
-        peak = max(abs(e) for e in post_errors)
+    errors = np.asarray(post_errors, dtype=float)
+    if len(errors):
+        # fsum is exactly rounded, so the order of the squares does not matter
+        rms = math.sqrt(math.fsum((errors * errors).tolist()) / len(errors))
+        peak = float(np.abs(errors).max())
         out.write(
             f"\nsync error after warmup: rms={rms * _PS:.3f} ps"
-            f"  max|e|={peak * _PS:.3f} ps  ({len(post_errors)} epochs)\n"
+            f"  max|e|={peak * _PS:.3f} ps  ({len(errors)} epochs)\n"
         )
     return out.getvalue()
 
@@ -1011,7 +1050,7 @@ def summarize_parsed(parsed: ParsedRun, stats: tuple | None = None) -> str:
         "warmup": parsed.warmup,
     }
     return _format_summary(
-        header, counts, paths, curve, parsed.sync_errors[parsed.warmup :].tolist(), parsed.tau
+        header, counts, paths, curve, parsed.sync_errors[parsed.warmup :], parsed.tau
     )
 
 

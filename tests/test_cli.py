@@ -74,6 +74,17 @@ class TestExitCodes:
         assert out == ""
         assert not out_dir.exists()
 
+    def test_detector_noise_without_sigma_is_a_scenario_error(self, capsys, tmp_path):
+        path = tmp_path / "quiet.json"
+        noise = {"sigma_link_s": [0.0, 0.0, 1e-11], "sigma_meas_s": 0.0}
+        path.write_text(json.dumps({"name": "x", "n_paths": 3, "n_epochs": 60, "noise": noise}))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(["run", str(path), "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert "invalid scenario: noise: " in err and "sigma" in err
+        assert out == ""
+        assert not out_dir.exists()
+
     def test_nonpositive_seed_count_is_a_usage_error(self, capsys):
         code, _, _ = run_cli(["sweep", "--preset", "fig3", "--seeds", "0"], capsys)
         assert code == 1

@@ -1,16 +1,23 @@
-"""The array CSV reader against the row-by-row reader it replaced.
+"""The array CSV codec against row-by-row reference implementations.
 
-``reference_parse`` below is that reader: ``csv.reader`` over the open
-file, one ``float()`` per cell and a dict lookup per flag, the run held
-as tuples of Python floats.  ``parse_run_csv`` reads every data row with
-one ``np.loadtxt`` call; on every file the two must agree bit for bit,
-and so must the statistics recomputed from them.
+``reference_parse`` below is a row-by-row reader: ``csv.reader`` over
+the open file, one ``float()`` per cell and a dict lookup per flag, the
+run held as tuples of Python floats.  ``parse_run_csv`` reads every data
+row with one ``np.loadtxt`` call; on every file the two must agree bit
+for bit, and so must the statistics recomputed from them.
+
+``reference_csv_text`` is a writer that sends every row of the ledger
+through one ``%`` template.  ``run_csv_text`` writes quiet rows (no
+flag, every attack cell ``+0.0``) through a second template with the
+flag and attack cells as constant text; the two must agree byte for
+byte.
 """
 
 import csv
 import itertools
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +30,14 @@ from timefuse import (
     PRESET_NAMES,
     DetectionCounts,
     PeriodicAttackRule,
+    PeriodicJumpRule,
     Scenario,
     preset,
     run_scenario,
 )
 from timefuse.cli import main as cli_main
 from timefuse.harness import (
+    _BLOCK_EPOCHS,
     _CSV_PREAMBLE,
     _PS,
     _csv_header,
@@ -109,6 +118,27 @@ def reference_stats(ref: dict) -> tuple:
     post = sync_errors[warm:]
     curve = tdev_curve(post, ref["tau"]) if len(post) >= 4 else None
     return sum(path_counts, DetectionCounts(0, 0, 0, 0)), path_counts, curve
+
+
+def reference_csv_text(scenario, records) -> str:
+    """The run CSV of ``records`` with every row through one ``%`` template."""
+    n = scenario.n_paths
+    preamble = (
+        scenario.name, scenario.method, scenario.seed, repr(scenario.tau), scenario.window, n
+    )
+    out = [f"# {key}={value}\n" for key, value in zip(_CSV_PREAMBLE, preamble)]
+    out.append(",".join(_csv_header(n)) + "\n")
+    row = ",".join(["%d", "%.3f"] + ["%.3f"] * n + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
+    for r in records:
+        cells = (
+            [r.epoch, r.true_offset * _PS]
+            + [o.measured_offset * _PS for o in r.observations]
+            + [v.flagged for v in r.verdicts]
+            + [r.correction * _PS]
+            + [o.attack_truth * _PS for o in r.observations]
+        )
+        out.append(row % tuple(cells))
+    return "".join(out)
 
 
 def same_bits(a, b) -> bool:
@@ -192,8 +222,8 @@ def test_csv_round_trip_keeps_flags_counts_and_tdev(csv_dir, scenario):
 
 
 @pytest.fixture(scope="module")
-def good_lines():
-    """Lines of a short 3-path DS2 run's CSV whose flag cells hold both 0 and 1."""
+def edge_run():
+    """``(scenario, result)`` of a short 3-path DS2 run with attacks on path 2."""
     scenario = Scenario(
         name="edge",
         n_paths=3,
@@ -202,7 +232,14 @@ def good_lines():
         seed=2,
         attack_rules=(PeriodicAttackRule((1,), 10.0, 5.0, 1e-8),),
     )
-    lines = run_csv_text(scenario, run_scenario(scenario).records).splitlines()
+    return scenario, run_scenario(scenario)
+
+
+@pytest.fixture(scope="module")
+def good_lines(edge_run):
+    """Lines of the edge run's CSV, whose flag cells hold both 0 and 1."""
+    scenario, result = edge_run
+    lines = run_csv_text(scenario, result.records).splitlines()
     assert {line.split(",")[FLAG_2] for line in lines[FIRST_ROW:]} == {"0", "1"}
     return lines
 
@@ -304,3 +341,105 @@ def test_non_finite_cells_are_rejected_naming_the_file_and_row(
         parse_run_csv(path)
     assert cli_main(["report", str(path)]) == 2
     assert "invalid data" in capsys.readouterr().err
+
+
+def assert_writers_agree(scenario, records):
+    text = run_csv_text(scenario, records)
+    assert text == reference_csv_text(scenario, records)
+    return text
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenarios())
+def test_writer_matches_the_one_template_writer_on_random_runs(scenario):
+    try:
+        result = run_scenario(scenario)
+    except ValueError:  # the clock left the float range; nothing to write
+        assume(False)
+    assert_writers_agree(scenario, result.records)
+
+
+def quiet_share(result) -> float:
+    """Share of a run's rows with no flag and no attack."""
+    return float(np.mean(~(result.flags.any(axis=1) | (result.attacks != 0.0).any(axis=1))))
+
+
+@pytest.mark.parametrize("magnitude", [1e-16, -1e-16])
+def test_attacks_that_print_as_zero_keep_their_sign(magnitude):
+    scenario = Scenario(
+        name="tiny",
+        n_paths=3,
+        n_epochs=60,
+        method="FTA",
+        attack_rules=(PeriodicAttackRule((1,), 10.0, 5.0, magnitude),),
+    )
+    result = run_scenario(scenario)
+    assert np.count_nonzero(result.attacks[:, 1]) == 6
+    text = assert_writers_agree(scenario, result.records)
+    attack_2 = [line.split(",")[-2] for line in text.splitlines()[FIRST_ROW:]]
+    assert set(attack_2) <= {"0.000", "-0.000"}
+    assert attack_2.count("-0.000") == (6 if magnitude < 0 else 0)
+
+
+def test_negative_zero_attack_cells_are_written_with_their_sign(edge_run):
+    scenario, result = edge_run
+    records = list(result.records)
+    for epoch in (3, 17):
+        rec = records[epoch]
+        observations = tuple(replace(o, attack_truth=-0.0) for o in rec.observations)
+        records[epoch] = replace(rec, observations=observations)
+    text = assert_writers_agree(scenario, records)
+    assert text.count(",-0.000") == 2 * scenario.n_paths
+
+
+def test_flags_without_attacks_are_written():
+    # Single flags path 1 when the clock jumps; no path is attacked
+    scenario = Scenario(
+        name="jumps",
+        n_paths=3,
+        n_epochs=120,
+        method="Single",
+        seed=4,
+        jump_rules=(PeriodicJumpRule(40.0, 40.0, 5e-9),),
+    )
+    result = run_scenario(scenario)
+    assert result.flags.any() and not result.attacks.any()
+    assert_writers_agree(scenario, result.records)
+
+
+def test_an_all_quiet_run_is_written():
+    scenario = Scenario(name="clean", n_paths=4, n_epochs=200, method="FTA", seed=5)
+    result = run_scenario(scenario)
+    assert quiet_share(result) == 1.0
+    assert_writers_agree(scenario, result.records)
+
+
+def test_a_run_with_no_quiet_rows_is_written():
+    scenario = Scenario(
+        name="loud",
+        n_paths=3,
+        n_epochs=200,
+        method="DS2",
+        seed=6,
+        attack_rules=(PeriodicAttackRule((2,), 1.0, 0.0, 1e-8),),
+    )
+    result = run_scenario(scenario)
+    assert quiet_share(result) == 0.0
+    assert_writers_agree(scenario, result.records)
+
+
+def test_a_run_across_row_blocks_is_written():
+    scenario = replace(preset("fig3", method="DS2", seed=3), n_epochs=8200)
+    assert scenario.n_epochs > 2 * _BLOCK_EPOCHS
+    result = run_scenario(scenario)
+    assert 0.0 < quiet_share(result) < 1.0
+    assert_writers_agree(scenario, result.records)
+
+
+def test_header_only_text_matches(edge_run):
+    scenario, _ = edge_run
+    assert assert_writers_agree(scenario, ()).count("\n") == FIRST_ROW

@@ -224,7 +224,7 @@ def scenarios(draw):
             window=draw(st.integers(2, 40)),
             quarantine=draw(st.integers(0, 3)),
         )
-    except ScenarioError:  # two jump rules land on one epoch
+    except ScenarioError:  # two jump rules land on one epoch, or a detector lacks noise
         reject()
 
 

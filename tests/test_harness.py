@@ -76,6 +76,24 @@ BAD_EVENT_RULES = {
 }
 
 
+#: Noise that leaves a detector channel without a positive, finite sigma;
+#: each passed ``Scenario(...)`` and then failed the run's calibration.
+BAD_DETECTOR_NOISE = {
+    "DS2 cross channel of two quiet paths": {
+        "method": "DS2",
+        "sigma_link": (0.0, 0.0, 1e-11),
+        "sigma_meas": 0.0,
+    },
+    "Single on a quiet path 1": {
+        "method": "Single",
+        "sigma_offset": 0.0,
+        "sigma_link": (0.0, 1e-11, 1e-11),
+        "sigma_meas": 0.0,
+    },
+    "DS1 sigma overflowing its square": {"method": "DS1", "sigma_link": 1e200},
+}
+
+
 class TestScenarioValidation:
     def test_needs_two_paths(self):
         with pytest.raises(ScenarioError, match="n_paths"):
@@ -132,6 +150,29 @@ class TestScenarioValidation:
     def test_event_rules_are_checked_at_construction(self, case):
         with pytest.raises(ScenarioError, match="event rules: "):
             Scenario(name="x", n_paths=3, n_epochs=40, **BAD_EVENT_RULES[case])
+
+    @pytest.mark.parametrize("duration", [2.0, True, "2"])
+    def test_attack_duration_must_be_an_integer(self, duration):
+        rule = PeriodicAttackRule((0,), 10.0, 0.0, 1e-8, duration_epochs=duration)
+        with pytest.raises(ScenarioError, match="duration_epochs must be an integer"):
+            Scenario(name="x", n_paths=3, n_epochs=40, attack_rules=(rule,))
+
+    @pytest.mark.parametrize("case", sorted(BAD_DETECTOR_NOISE))
+    def test_detector_noise_is_checked_at_construction(self, case):
+        with pytest.raises(ScenarioError, match="noise: .*sigma"):
+            Scenario(name="x", n_paths=3, n_epochs=40, **BAD_DETECTOR_NOISE[case])
+
+    @pytest.mark.parametrize("method", ["DS2", "Single"])
+    def test_one_quiet_path_is_enough_noise_for_a_detector(self, method):
+        sc = Scenario(
+            name="x",
+            n_paths=3,
+            n_epochs=40,
+            method=method,
+            sigma_link=(1e-11, 0.0, 1e-11),
+            sigma_meas=(2e-11, 0.0, 2e-11),
+        )
+        assert run_scenario(sc).counts.false_positives == 0
 
     def test_replace_checks_the_rules_again(self):
         sc = preset("fig5d")
@@ -278,18 +319,17 @@ class TestRunScenario:
         assert all(e == 0.0 for e in result.sync_errors)
 
     def test_detector_methods_need_positive_noise(self):
-        quiet = Scenario(
-            name="quiet",
-            n_paths=3,
-            n_epochs=20,
-            method="DS2",
-            sigma_offset=0.0,
-            sigma_drift=0.0,
-            sigma_link=0.0,
-            sigma_meas=0.0,
-        )
-        with pytest.raises(ValueError, match="sigma"):
-            run_scenario(quiet)
+        with pytest.raises(ScenarioError, match="sigma"):
+            Scenario(
+                name="quiet",
+                n_paths=3,
+                n_epochs=20,
+                method="DS2",
+                sigma_offset=0.0,
+                sigma_drift=0.0,
+                sigma_link=0.0,
+                sigma_meas=0.0,
+            )
 
     def test_single_method_watches_the_first_path(self):
         sc = Scenario(
@@ -385,6 +425,18 @@ def test_preset_csv_bytes_match_the_committed_digests(name, method, golden_prese
     text = run_csv_text(sc, run_scenario(sc).records)
     expected = golden_preset_runs[f"{name}_{method}_seed1"]["csv"]
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("method", ["FTA", "Single"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_baseline_preset_artifacts_match_the_committed_digests(
+    name, method, golden_preset_runs, tmp_path
+):
+    result = run_scenario(preset(name, method=method, seed=1))
+    paths = emit(result, tmp_path)
+    expected = golden_preset_runs[f"{name}_{method}_seed1"]
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    assert digests == [expected["csv"], expected["summary"], expected["tdev"]]
 
 
 def compensated_sum(items, start=0):
