@@ -11,7 +11,7 @@ steered on directly or rejected in favour of holdover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from ._util import left_sum, ols_slope
@@ -103,8 +103,11 @@ def single_update(
         return (
             -prediction,
             True,
-            replace(
-                state,
+            SingleDetectorState(
+                threshold=state.threshold,
+                drift=state.drift,
+                window=state.window,
+                window_len=state.window_len,
                 cum_correction=state.cum_correction - prediction,
                 epoch=state.epoch + 1,
             ),
@@ -118,10 +121,11 @@ def single_update(
     return (
         correction,
         False,
-        replace(
-            state,
+        SingleDetectorState(
+            threshold=state.threshold,
             drift=drift,
             window=window,
+            window_len=state.window_len,
             cum_correction=state.cum_correction + correction,
             epoch=state.epoch + 1,
         ),

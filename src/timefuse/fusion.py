@@ -13,6 +13,19 @@ once: the N x N residual matrix (self residuals on the diagonal) goes
 through the per-channel logistic shape, is clipped, and each row sums to
 its path's fused log-odds.  A path is flagged when that sum is strictly
 positive, i.e. when its fused attack mass exceeds one half.
+:class:`LogOddsKernel` does this for batches of epochs; the variant only
+picks its clip tables (``+-inf`` where it does not clip).
+
+Most epochs are quiet, and the kernel can prove it without running.
+Its ``quiet_bound`` is the largest residual ``r`` for which every row,
+with every cell's residual set to ``r``, sums to ``<= 0``.  An epoch
+whose spans ``max(x) - min(x)``, ``|max(x) - drift*tau|`` and
+``|min(x) - drift*tau|`` are all within it flags no path, exactly.
+IEEE rounding is monotone, so every cross residual is at most the first
+span and every self residual at most one of the other two.  Steepness
+is positive, so the log-odds, the clips and the float row sum are
+monotone in each residual too: each cell is at most its value at the
+bound, and each row sums to ``<= 0``.
 
 The steering correction is the negated mean of the unflagged reports;
 when everything is flagged the clock coasts on the frequency estimate
@@ -24,7 +37,10 @@ by the caller.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +59,7 @@ __all__ = [
     "CalibrationSet",
     "EpochRecord",
     "FrequencyEstimate",
+    "LogOddsKernel",
     "Verdict",
     "build_calibration_set",
     "classify_paths",
@@ -213,6 +230,153 @@ def residuals_for_path(
     return residuals
 
 
+#: Most residual cells the kernel's scratch holds; bounds the memory of a
+#: whole-run pass to 32 KiB of cells.
+_BLOCK_CELLS = 4096
+
+
+class _Scratch:
+    """Buffers for the epochs of shape ``lead`` (``()`` for one) of ``n`` paths, and views on them.
+
+    One epoch gets 2-D cells and a 0-d drift * tau, the shapes of the
+    tables, so its ufunc calls need no broadcasting.
+    """
+
+    def __init__(self, lead: tuple, n: int):
+        self.x = np.empty(lead + (n,))
+        self.drift_tau = np.empty(lead)
+        self.cells = np.empty(lead + (n, n))
+        self.sums = np.empty(lead + (n,))
+        self.rows = self.x[..., :, None]
+        self.cols = self.x[..., None, :]
+        self.drift_tau_col = self.drift_tau[..., None] if lead else self.drift_tau
+        self.diagonal = self.cells.reshape(lead + (n * n,))[..., :: n + 1]
+
+
+class LogOddsKernel:
+    """Fused log-odds of one DS variant for batches of epochs, with a quiet-epoch bound.
+
+    Built once per run.  The variant only picks the clip tables: DS0
+    clips at ``[-inf, inf]``, DS1 at ``[-inf, log_ceiling]`` and DS2 at
+    ``[log_floor, log_ceiling]``, and ``min(v, inf) == v`` exactly, so
+    every variant runs the same element operations.
+
+    Calling the kernel on ``(B, N)`` reports and ``(B,)`` drift * tau
+    values gives the ``(B, N)`` row sums, computed ``_BLOCK_CELLS`` cells
+    at a time.  :meth:`epoch_sums` runs the same kernel on one epoch in
+    scratch buffers that the kernel keeps.
+    """
+
+    def __init__(self, calibrations: CalibrationSet, variant: str):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        n = len(calibrations.self_cal)
+        unclipped = np.full((n, n), math.inf)
+        self.n = n
+        self.steepness = calibrations.steepness
+        self.midpoint = calibrations.midpoint
+        self.ceiling = calibrations.log_ceiling if variant != "DS0" else unclipped
+        self.floor = calibrations.log_floor if variant == "DS2" else -unclipped
+        self._epoch = _Scratch((), n)
+
+    def __call__(self, x: np.ndarray, drift_tau: np.ndarray) -> np.ndarray:
+        b, n = x.shape
+        if n != self.n or drift_tau.shape != (b,):
+            raise ValueError(f"need (B, {self.n}) reports and (B,) drift * tau values")
+        out = np.empty((b, n))
+        step = max(1, _BLOCK_CELLS // (n * n))
+        scratch = None
+        for lo in range(0, b, step):
+            hi = min(lo + step, b)
+            if scratch is None or len(scratch.x) != hi - lo:
+                scratch = _Scratch((hi - lo,), n)
+            scratch.x[...] = x[lo:hi]
+            scratch.drift_tau[...] = drift_tau[lo:hi]
+            out[lo:hi] = self._row_sums(scratch)
+        return out
+
+    def epoch_sums(self, x: Sequence[float], drift_tau: float) -> list:
+        """Row sums of one epoch's reports, as a list; allocates no array."""
+        scratch = self._epoch
+        scratch.x[...] = x
+        scratch.drift_tau[...] = drift_tau
+        return self._row_sums(scratch).tolist()
+
+    def _row_sums(self, s: _Scratch) -> np.ndarray:
+        """Fill ``s.cells`` with the residual matrices of ``s.x``, then sum their clipped log-odds.
+
+        Row i of an epoch's matrix holds path i's cross residuals against
+        every other path, with its self residual on the diagonal.
+        """
+        cells = s.cells
+        np.subtract(s.rows, s.cols, out=cells)
+        np.subtract(s.x, s.drift_tau_col, out=s.diagonal)
+        np.abs(cells, out=cells)
+        if not np.maximum.reduce(cells, axis=None) < math.inf:  # also false for NaN
+            raise ValueError("residuals must be finite")
+        return self._clipped_sums(s)
+
+    def _clipped_sums(self, s: _Scratch) -> np.ndarray:
+        """Residuals to clipped log-odds in place, then each row's sum into ``s.sums``."""
+        cells = s.cells
+        np.subtract(cells, self.midpoint, out=cells)
+        np.multiply(cells, self.steepness, out=cells)
+        np.minimum(cells, self.ceiling, out=cells)
+        np.maximum(cells, self.floor, out=cells)
+        return np.add.reduce(cells, axis=-1, out=s.sums)
+
+    @cached_property
+    def quiet_bound(self) -> float:
+        """Largest residual ``r`` at which no path can be flagged: the bound of :meth:`is_quiet`.
+
+        With every cell's residual set to ``r``, every row of clipped
+        log-odds sums to ``<= 0``.  The search bisects the bit patterns of
+        the non-negative doubles, whose order is their numeric order.  It
+        is ``-inf`` when a zero residual already flags a row, and the
+        largest finite double when not even an infinite one does.
+        """
+        scratch = self._epoch
+
+        def quiet(bits: int) -> bool:
+            scratch.cells.fill(_double(bits))
+            return bool(np.maximum.reduce(self._clipped_sums(scratch), axis=None) <= 0.0)
+
+        lo, hi = 0, _INF_BITS
+        if not quiet(lo):
+            return -math.inf
+        if quiet(hi):
+            return sys.float_info.max
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if quiet(mid):
+                lo = mid
+            else:
+                hi = mid
+        return _double(lo)
+
+    def is_quiet(self, x: Sequence[float], drift_tau: float) -> bool:
+        """True when no path of reports ``x`` can be flagged, so the kernel can be skipped.
+
+        The three spans bound every residual of the epoch (see the module
+        docstring for why that is exact).  The comparisons are false for
+        NaN and infinite spans, which then reach the kernel and its
+        finiteness check.  ``x`` must not be partly NaN: ``max`` and
+        ``min`` pass over a NaN that does not come first.
+        """
+        top = max(x)
+        bottom = min(x)
+        r = self.quiet_bound
+        return top - bottom <= r and abs(top - drift_tau) <= r and abs(bottom - drift_tau) <= r
+
+
+_INF_BITS = 0x7FF0000000000000
+
+
+def _double(bits: int) -> float:
+    """The double whose IEEE 754 bit pattern is ``bits``."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def fused_log_odds(
     offsets: Sequence[float],
     calibrations: CalibrationSet,
@@ -225,27 +389,14 @@ def fused_log_odds(
     Row i of the residual matrix holds path i's cross residuals against
     every other path, with its self residual on the diagonal.  Each cell's
     log-odds are clipped to the channel's clamps (DS1: ceiling only, DS2:
-    both, DS0: none) and a row's sum is the path's fused log-odds.
+    both, DS0: none) and a row's sum is the path's fused log-odds.  This
+    is :meth:`LogOddsKernel.epoch_sums`.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    n = len(calibrations.self_cal)
+    kernel = LogOddsKernel(calibrations, variant)
     x = np.asarray(offsets, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"got {x.size} offsets for {n} calibrated paths")
-    # one buffer, worked in place: residuals, then log-odds, then clipped log-odds
-    cells = np.subtract.outer(x, x)
-    cells.ravel()[:: n + 1] = x - drift * tau
-    np.abs(cells, out=cells)
-    if not cells.max() < math.inf:  # also false for NaN
-        raise ValueError("residuals must be finite")
-    cells -= calibrations.midpoint
-    cells *= calibrations.steepness
-    if variant != "DS0":
-        np.minimum(cells, calibrations.log_ceiling, out=cells)
-    if variant == "DS2":
-        np.maximum(cells, calibrations.log_floor, out=cells)
-    return cells.sum(axis=1)
+    if x.shape != (kernel.n,):
+        raise ValueError(f"got {x.size} offsets for {kernel.n} calibrated paths")
+    return np.array(kernel.epoch_sums(x, drift * tau))
 
 
 def classify_paths(

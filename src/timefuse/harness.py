@@ -23,6 +23,7 @@ import json
 import math
 import re
 import statistics
+from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,9 +47,9 @@ from .evidence import DEFAULT_STEEPNESS_LOG_ODDS, VACUOUS, VARIANTS, MassPair
 from .fusion import (
     CalibrationSet,
     EpochRecord,
+    LogOddsKernel,
     Verdict,
     build_calibration_set,
-    fused_log_odds,
     residual_sigmas,
 )
 from .metrics import DetectionCounts, TdevCurve, per_path_counts, tdev_curve
@@ -651,6 +652,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
     earlier epochs.  The DS steering mean adds the kept reports left to
     right in path order (:func:`~timefuse._util.left_sum`); ``np.sum``
     would reorder the additions.
+
+    A DS epoch that :meth:`~timefuse.fusion.LogOddsKernel.is_quiet` proves
+    flag-free skips the evidence kernel.  The reports and the fused
+    log-odds of every epoch are computed after the loop, from the true
+    offsets and the drift * tau of each epoch, with the additions the
+    loop made.
     """
     n = scenario.n_paths
     tau = scenario.tau
@@ -658,7 +665,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     method = scenario.method
     noise = scenario.noise()
     schedule = scenario.schedule()
-    calibs = scenario.calibrations() if method in VARIANTS else None
+    kernel = LogOddsKernel(scenario.calibrations(), method) if method in VARIANTS else None
     single = (
         make_single_state(noise, scenario.p_false_alarm, scenario.two_sided, window)
         if method == "Single"
@@ -673,28 +680,31 @@ def run_scenario(scenario: Scenario) -> RunResult:
     full_axis = centred_axis(time_axis) if len(time_axis) == window else None
 
     offset = drift = correction = cum_correction = 0.0
-    z_history: list = []
+    z_history: deque = deque(maxlen=window)
     quarantine_left = [0] * n
-    measured = np.empty(attacks.shape)
-    log_odds = np.empty(attacks.shape) if calibs is not None else None
-    true_offsets, corrections, single_flags = [], [], []
+    quiet_sums = [0.0] * n  # stands in for the unknown row sums, all <= 0, of a quiet epoch
+    true_offsets, corrections, drift_taus, single_flags = [], [], [], []
     rows = _row_blocks(schedule.jumps, link, meas, attacks)
     for epoch, (jump, link_row, meas_row, attack_row) in enumerate(rows):
         offset = offset + correction + drift * tau + w_offset[epoch] + jump
         drift = drift + w_drift[epoch]
+        # the noise and attack terms are finite, so x is never partly NaN,
+        # which is_quiet needs: a NaN offset makes every report NaN, and an
+        # overflow makes a report infinite
         x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
 
-        if calibs is not None:
-            points = z_history[-window:]
-            if len(points) == window:
-                drift_est = slope_on_axis(full_axis, points)
-            elif len(points) >= 2:
-                drift_est = slope_on_axis(centred_axis(time_axis[: len(points)]), points)
+        if kernel is not None:
+            points = len(z_history)
+            if points == window:
+                drift_est = slope_on_axis(full_axis, z_history)
+            elif points >= 2:
+                drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
             else:
                 drift_est = 0.0
-            sums = fused_log_odds(x, calibs, drift_est, tau, method).tolist()
+            drift_tau = drift_est * tau
+            sums = quiet_sums if kernel.is_quiet(x, drift_tau) else kernel.epoch_sums(x, drift_tau)
             kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
-            correction = -left_sum(kept) / len(kept) if kept else -drift_est * tau
+            correction = -left_sum(kept) / len(kept) if kept else -drift_tau
             if scenario.quarantine:
                 quarantine_left = [
                     scenario.quarantine if s > 0.0 else max(q - 1, 0)
@@ -702,7 +712,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 ]
             z_history.append(-correction - cum_correction)
             cum_correction += correction
-            log_odds[epoch] = sums
+            drift_taus.append(drift_tau)
         elif method == "FTA":
             correction = fta_update(x)
         else:
@@ -711,18 +721,24 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
         true_offsets.append(offset)
         corrections.append(correction)
-        measured[epoch] = x
 
     # a non-finite offset or correction stays non-finite in every later epoch
     if not (math.isfinite(offset) and math.isfinite(correction)):
         raise ValueError("clock state must be finite")
-    if log_odds is not None:
+    true_column = np.array(true_offsets)
+    # one array, added to in place in the loop's order of additions
+    measured = true_column[:, None] + link
+    measured += meas
+    measured += attacks
+    if kernel is not None:
+        log_odds = kernel(measured, np.array(drift_taus))
         flags = log_odds > 0.0
     else:
+        log_odds = None
         flags = np.zeros(attacks.shape, dtype=bool)
         if single_flags:
             flags[:, 0] = single_flags
-    sync_errors = tuple((np.array(true_offsets) + np.array(corrections)).tolist())
+    sync_errors = tuple((true_column + np.array(corrections)).tolist())
     counts, path_counts, curve = _run_stats(flags, attacks, sync_errors, scenario.warmup, tau)
     return RunResult(
         scenario=scenario,

@@ -39,11 +39,16 @@ from timefuse import (
     tdev_curve,
 )
 from timefuse.clocksim import ClockState
+from timefuse.fusion import fused_log_odds
 from timefuse.harness import _BLOCK_EPOCHS
 
 
 def reference_run(scenario):
-    """``(records, sync_errors)`` of ``scenario``, one object per path and epoch."""
+    """``(records, sync_errors, log_odds)`` of ``scenario``, one object per path and epoch.
+
+    ``log_odds`` holds each epoch's :func:`fused_log_odds` for the DS
+    methods and is ``None`` for the others.
+    """
     noise = scenario.noise()
     schedule = scenario.schedule()
     jumps = schedule.jumps.tolist()
@@ -64,6 +69,7 @@ def reference_run(scenario):
     quarantine_left = [0] * n
     records = []
     sync_errors = []
+    log_odds = [] if calibs is not None else None
     for epoch in range(scenario.n_epochs):
         state = step_clock(state, correction, noise, rngs.clock, jump=jumps[epoch])
         observations = tuple(
@@ -72,6 +78,7 @@ def reference_run(scenario):
         offsets = [o.measured_offset for o in observations]
         if calibs is not None:
             freq = estimate_frequency(z_history, tau, scenario.window)
+            log_odds.append(fused_log_odds(offsets, calibs, freq.drift, tau, method))
             verdicts = tuple(classify_paths(offsets, calibs, freq.drift, tau, method, epoch))
             quarantined = [i for i in range(n) if quarantine_left[i] > 0]
             correction = compute_update(offsets, verdicts, freq.drift, tau, quarantined)
@@ -94,7 +101,7 @@ def reference_run(scenario):
         records.append(
             EpochRecord(epoch, state.offset, observations, verdicts, correction, method)
         )
-    return records, sync_errors
+    return records, sync_errors, log_odds
 
 
 def reference_counts(records, start_epoch):
@@ -147,7 +154,7 @@ def same_bits(a, b) -> bool:
 
 def assert_engines_agree(scenario):
     try:
-        records, sync_errors = reference_run(scenario)
+        records, sync_errors, log_odds = reference_run(scenario)
     except ValueError as exc:  # a scenario both engines must refuse alike
         with pytest.raises(type(exc)) as refused:
             run_scenario(scenario)
@@ -161,6 +168,10 @@ def assert_engines_agree(scenario):
     measured = [[o.measured_offset for o in r.observations] for r in records]
     assert same_bits(result.measured, measured)
     assert same_bits(result.sync_errors, sync_errors)
+    if log_odds is None:
+        assert result.log_odds is None
+    else:
+        assert same_bits(result.log_odds, log_odds)
     warm = scenario.warmup
     path_counts = reference_counts(records, warm)
     assert result.path_counts == path_counts

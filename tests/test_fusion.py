@@ -1,6 +1,7 @@
 """Tests for per-path residual evidence, verdicts, steering, and drift tracking."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from timefuse import (
     residual_sigmas,
     residuals_for_path,
 )
+from timefuse.fusion import LogOddsKernel, fused_log_odds
 
 Z_1E6 = 4.753424308817089  # Gaussian quantile at 1 - 1e-6
 
@@ -202,6 +204,98 @@ class TestKernelMatchesScalarReference:
         assert [v.flagged for v in verdicts] == [f.attack > 0.5 for f in fused]
         for v, f in zip(verdicts, fused):
             assert v.fused.attack == pytest.approx(f.attack, abs=1e-9)
+
+
+def uniform_residual_sums(calibrations, variant, r):
+    """Every row's clipped log-odds sum when every cell's residual is ``r``."""
+    cells = np.full(calibrations.midpoint.shape, r) - calibrations.midpoint
+    cells *= calibrations.steepness
+    if variant != "DS0":
+        cells = np.minimum(cells, calibrations.log_ceiling)
+    if variant == "DS2":
+        cells = np.maximum(cells, calibrations.log_floor)
+    return cells.sum(axis=1)
+
+
+@st.composite
+def epochs_near_the_bound(draw, widest=2.0):
+    """A detector, its kernel, and reports and drift * tau within ``widest`` times its bound."""
+    _, calib, _, variant = draw(detector_inputs())
+    kernel = LogOddsKernel(calib, variant)
+    r = kernel.quiet_bound
+    n = len(calib.self_cal)
+    bottom = draw(st.floats(-3e-10, 3e-10))
+    # residuals exactly at the bound and just past it are where rounding matters most
+    edges = [e for e in (0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0) if e <= widest]
+    share = st.one_of(st.sampled_from(edges), st.floats(0.0, widest))
+    x = [bottom + draw(share) * r for _ in range(n)]
+    drift_tau = bottom + draw(share) * r
+    return calib, variant, kernel, x, drift_tau
+
+
+class TestQuietBound:
+    """``LogOddsKernel.is_quiet`` proves an epoch flag-free without running the kernel."""
+
+    @settings(max_examples=300)
+    @given(epochs_near_the_bound())
+    def test_quiet_means_every_residual_is_within_the_bound(self, epoch):
+        _, _, kernel, x, drift_tau = epoch
+        residuals = [r for i in range(len(x)) for r in residuals_for_path(i, x, drift_tau, 1.0)]
+        assert kernel.is_quiet(x, drift_tau) == (max(residuals) <= kernel.quiet_bound)
+
+    @settings(max_examples=300)
+    @given(epochs_near_the_bound(widest=1.0))
+    def test_a_quiet_epoch_flags_no_path(self, epoch):
+        calib, variant, kernel, x, drift_tau = epoch
+        assume(kernel.is_quiet(x, drift_tau))
+        sums = fused_log_odds(x, calib, drift_tau, 1.0, variant)
+        assert (sums <= 0.0).all()
+
+    @settings(max_examples=150)
+    @given(detector_inputs())
+    def test_the_bound_is_the_largest_quiet_residual(self, inputs):
+        _, calib, _, variant = inputs
+        kernel = LogOddsKernel(calib, variant)
+        r = kernel.quiet_bound
+        above = math.nextafter(r, math.inf)
+        assert 0.0 < r < math.inf
+        assert (uniform_residual_sums(calib, variant, r) <= 0.0).all()
+        flagged_rows = uniform_residual_sums(calib, variant, above) > 0.0
+        assert flagged_rows.any()
+        # path k at 0, every other path and drift * tau at the span: every
+        # residual of row k equals the span
+        k = int(np.argmax(flagged_rows))
+        for span, flags in ((r, False), (above, True)):
+            x = [span] * len(calib.self_cal)
+            x[k] = 0.0
+            assert kernel.is_quiet(x, span) is not flags
+            assert (fused_log_odds(x, calib, span, 1.0, variant)[k] > 0.0) == flags
+
+    @settings(max_examples=100)
+    @given(epochs_near_the_bound(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_reports_or_drift_never_pass(self, epoch, bad, data):
+        _, _, kernel, x, drift_tau = epoch
+        assert not kernel.is_quiet(x, bad)
+        # the engine's reports share one clock offset, so a NaN report makes them all NaN
+        if math.isnan(bad):
+            assert not kernel.is_quiet([bad] * len(x), drift_tau)
+        else:
+            x[data.draw(st.integers(0, len(x) - 1))] = bad
+            assert not kernel.is_quiet(x, drift_tau)
+            assert not kernel.is_quiet([bad] * len(x), drift_tau)
+
+    def test_a_bound_that_cannot_bisect_is_an_endpoint(self, calib3):
+        flags_at_zero = LogOddsKernel(calib3, "DS2")
+        flags_at_zero.midpoint = -calib3.midpoint
+        assert flags_at_zero.quiet_bound == -math.inf
+        assert not flags_at_zero.is_quiet([0.0] * 3, 0.0)
+        never_flags = LogOddsKernel(calib3, "DS2")
+        never_flags.ceiling = never_flags.floor
+        assert never_flags.quiet_bound == sys.float_info.max
+
+    def test_unknown_variant_rejected(self, calib3):
+        with pytest.raises(ValueError, match="variant"):
+            LogOddsKernel(calib3, "majority")
 
 
 class TestComputeUpdate:

@@ -439,6 +439,25 @@ def test_baseline_preset_artifacts_match_the_committed_digests(
     assert digests == [expected["csv"], expected["summary"], expected["tdev"]]
 
 
+@pytest.mark.parametrize("method", ["DS2", "DS0"])
+def test_wide_run_artifacts_match_the_committed_digests(method, tmp_path):
+    # perfbench's wide_paths runs at seed 1: path i attacked every 50 s at
+    # 2i s.  With 20 paths numpy's row sum is pairwise, not a left fold.
+    n = 20
+    attacks = tuple(
+        PeriodicAttackRule(paths=(i,), period_s=50.0, phase_s=2.0 * i, magnitude_s=10e-9)
+        for i in range(n)
+    )
+    scenario = Scenario(
+        name=f"wide{n}", n_paths=n, n_epochs=1000, method=method, seed=1, attack_rules=attacks
+    )
+    paths = emit(run_scenario(scenario), tmp_path)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["wide_paths"]
+    expected = golden[f"wide{n}_{method}_seed1"]
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    assert digests == [expected["csv"], expected["summary"], expected["tdev"]]
+
+
 def compensated_sum(items, start=0):
     """The builtin ``sum`` of Python 3.12 on: Neumaier-compensated over floats."""
     items = list(items)
