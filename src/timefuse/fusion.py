@@ -27,6 +27,13 @@ is positive, so the log-odds, the clips and the float row sum are
 monotone in each residual too: each cell is at most its value at the
 bound, and each row sums to ``<= 0``.
 
+The same argument proves the other extreme.  Path i's ``loud_bound`` is
+the smallest self residual at which row i sums to ``> 0`` while every
+cross cell holds its value at residual 0, which is its minimum.  An
+epoch whose every self residual reaches its path's bound flags every
+path, exactly: its cross cells are at least their values at 0, its self
+cells at least their values at the bound, and the row sums are monotone.
+
 The steering correction is the negated mean of the unflagged reports;
 when everything is flagged the clock coasts on the frequency estimate
 alone (holdover).  The frequency estimate itself is a least-squares
@@ -192,19 +199,25 @@ def build_calibration_set(
     steepness_log_odds: float = DEFAULT_STEEPNESS_LOG_ODDS,
     two_sided: bool = False,
 ) -> CalibrationSet:
-    """Calibrate every residual channel of an N-path detector from its noise model."""
+    """Calibrate every residual channel of an N-path detector from its noise model.
+
+    Channels with equal sigmas share one frozen :class:`Calibration`.
+    """
     self_sigmas, cross_sigmas = residual_sigmas(noise)
+    by_sigma: dict = {}
 
     def _cal(sigma: float) -> Calibration:
-        return calibrate(
-            sigma,
-            p_false_alarm,
-            p_missed,
-            mass_ceiling=mass_ceiling,
-            mass_floor=mass_floor,
-            steepness_log_odds=steepness_log_odds,
-            two_sided=two_sided,
-        )
+        if sigma not in by_sigma:
+            by_sigma[sigma] = calibrate(
+                sigma,
+                p_false_alarm,
+                p_missed,
+                mass_ceiling=mass_ceiling,
+                mass_floor=mass_floor,
+                steepness_log_odds=steepness_log_odds,
+                two_sided=two_sided,
+            )
+        return by_sigma[sigma]
 
     return CalibrationSet(
         self_cal=tuple(_cal(s) for s in self_sigmas),
@@ -354,6 +367,37 @@ class LogOddsKernel:
                 hi = mid
         return _double(lo)
 
+    @cached_property
+    def loud_bound(self) -> list:
+        """Per path, the smallest self residual that flags it however small its cross residuals.
+
+        Row i of the cells holds the self residual ``L_i`` on its diagonal
+        and residual 0 off it; ``L_i`` is the smallest such residual whose
+        clipped log-odds sum to ``> 0``.  Every row bisects at once, through
+        the kernel's own clip and row sum, over the same bit patterns as
+        :attr:`quiet_bound`.  ``L_i`` is ``0.0``
+        when a zero residual already flags row i, and ``inf`` when not
+        even an infinite one does.
+        """
+        scratch = self._epoch
+
+        def loud(bits: np.ndarray) -> np.ndarray:
+            scratch.cells.fill(0.0)
+            scratch.diagonal[...] = bits.view(np.float64)
+            return self._clipped_sums(scratch) > 0.0
+
+        lo = np.zeros(self.n, dtype=np.uint64)
+        hi = np.full(self.n, _INF_BITS, dtype=np.uint64)
+        with np.errstate(over="ignore"):  # huge residuals overflow to inf, as in the kernel
+            hi[loud(lo)] = 0
+            lo[~loud(hi)] = _INF_BITS
+            while (hi - lo).max() > 1:
+                mid = (lo + hi) >> 1
+                flagged = loud(mid)
+                hi = np.where(flagged, mid, hi)
+                lo = np.where(flagged, lo, mid)
+        return hi.view(np.float64).tolist()
+
     def is_quiet(self, x: Sequence[float], drift_tau: float) -> bool:
         """True when no path of reports ``x`` can be flagged, so the kernel can be skipped.
 
@@ -367,6 +411,18 @@ class LogOddsKernel:
         bottom = min(x)
         r = self.quiet_bound
         return top - bottom <= r and abs(top - drift_tau) <= r and abs(bottom - drift_tau) <= r
+
+    def is_loud(self, x: Sequence[float], drift_tau: float) -> bool:
+        """True when every path of reports ``x`` is flagged, so the kernel can be skipped.
+
+        Every self residual must reach its :attr:`loud_bound` and be
+        finite, and so must the span of ``x``, which bounds every cross
+        residual: a NaN or infinite residual reaches the kernel and its
+        finiteness check.
+        """
+        return all(
+            b <= abs(o - drift_tau) < math.inf for o, b in zip(x, self.loud_bound)
+        ) and max(x) - min(x) < math.inf
 
 
 _INF_BITS = 0x7FF0000000000000

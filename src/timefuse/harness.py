@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._util import centred_axis, left_sum, logistic, slope_on_axis
-from .baselines import fta_update, make_single_state, single_residual_sigma, single_update
+from .baselines import fta_update, make_single_state, single_residual_sigma
 from .clocksim import (
     EventSchedule,
     NoiseConfig,
@@ -654,10 +654,18 @@ def run_scenario(scenario: Scenario) -> RunResult:
     would reorder the additions.
 
     A DS epoch that :meth:`~timefuse.fusion.LogOddsKernel.is_quiet` proves
-    flag-free skips the evidence kernel.  The reports and the fused
+    flag-free, or :meth:`~timefuse.fusion.LogOddsKernel.is_loud` proves
+    all-flagged, skips the evidence kernel.  The reports and the fused
     log-odds of every epoch are computed after the loop, from the true
     offsets and the drift * tau of each epoch, with the additions the
     loop made.
+
+    The Single detector is :func:`~timefuse.baselines.single_update`
+    inlined.  With ``tau == 1.0`` a full window of consecutive epochs
+    ``e0 ..`` fits on the fixed axis of ``0 ..``: the window's times sum
+    to an integer below ``window * n_epochs <= 2**53``, so their ``fsum``
+    mean is exactly ``e0 + (window - 1) / 2`` and every centred time is
+    exact, the same double as on the fixed axis.
     """
     n = scenario.n_paths
     tau = scenario.tau
@@ -666,8 +674,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     noise = scenario.noise()
     schedule = scenario.schedule()
     kernel = LogOddsKernel(scenario.calibrations(), method) if method in VARIANTS else None
-    single = (
-        make_single_state(noise, scenario.p_false_alarm, scenario.two_sided, window)
+    threshold = (
+        make_single_state(noise, scenario.p_false_alarm, scenario.two_sided).threshold
         if method == "Single"
         else None
     )
@@ -678,11 +686,15 @@ def run_scenario(scenario: Scenario) -> RunResult:
     w_offset, w_drift = clock_noise.T.tolist()
     time_axis = [k * tau for k in range(min(window, scenario.n_epochs))]
     full_axis = centred_axis(time_axis) if len(time_axis) == window else None
+    single_axis = full_axis if tau == 1.0 and window * scenario.n_epochs <= 2**53 else None
 
-    offset = drift = correction = cum_correction = 0.0
+    offset = drift = drift_est = correction = cum_correction = 0.0
     z_history: deque = deque(maxlen=window)
+    times: deque = deque(maxlen=window)  # Single: the time of each point in z_history
     quarantine_left = [0] * n
-    quiet_sums = [0.0] * n  # stands in for the unknown row sums, all <= 0, of a quiet epoch
+    # stand in for the unknown row sums of a quiet (all <= 0) or loud (all > 0) epoch
+    quiet_sums = [0.0] * n
+    loud_sums = [1.0] * n
     true_offsets, corrections, drift_taus, single_flags = [], [], [], []
     rows = _row_blocks(schedule.jumps, link, meas, attacks)
     for epoch, (jump, link_row, meas_row, attack_row) in enumerate(rows):
@@ -702,8 +714,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
             else:
                 drift_est = 0.0
             drift_tau = drift_est * tau
-            sums = quiet_sums if kernel.is_quiet(x, drift_tau) else kernel.epoch_sums(x, drift_tau)
-            kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
+            if kernel.is_quiet(x, drift_tau):
+                sums = quiet_sums
+            elif kernel.is_loud(x, drift_tau):
+                sums = loud_sums
+            else:
+                sums = kernel.epoch_sums(x, drift_tau)
+            if sums is quiet_sums and not any(quarantine_left):
+                kept = x  # what the filter below keeps on a quiet epoch
+            else:
+                kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
             correction = -left_sum(kept) / len(kept) if kept else -drift_tau
             if scenario.quarantine:
                 quarantine_left = [
@@ -716,7 +736,20 @@ def run_scenario(scenario: Scenario) -> RunResult:
         elif method == "FTA":
             correction = fta_update(x)
         else:
-            correction, flagged, single = single_update(x[0], single, tau)
+            prediction = drift_est * tau
+            flagged = abs(x[0] - prediction) > threshold
+            if flagged:
+                correction = -prediction
+            else:
+                correction = -x[0]
+                times.append(epoch * tau)
+                z_history.append(x[0] - cum_correction)
+                k = len(times)
+                if single_axis is not None and k == window and times[-1] - times[0] == k - 1:
+                    drift_est = slope_on_axis(single_axis, z_history)
+                elif k >= 2:
+                    drift_est = slope_on_axis(centred_axis(times), z_history)
+            cum_correction += correction
             single_flags.append(flagged)
 
         true_offsets.append(offset)

@@ -38,6 +38,7 @@ from timefuse import (
     step_clock,
     tdev_curve,
 )
+from timefuse._util import centred_axis
 from timefuse.clocksim import ClockState
 from timefuse.fusion import fused_log_odds
 from timefuse.harness import _BLOCK_EPOCHS
@@ -257,4 +258,49 @@ def test_long_run_crosses_row_blocks(method):
         attack_rules=(PeriodicAttackRule((1,), 50.0, 10.0, 10e-9),),
         jump_rules=(PeriodicJumpRule(30.0, 30.0, 1e-9),),
     )
+    assert_engines_agree(scenario)
+
+
+@given(st.integers(0, 2**40 - 1), st.integers(2, 64))
+def test_a_window_of_consecutive_epochs_has_the_fixed_axis(e0, k):
+    # the Single detector fits a gap-free window at tau 1.0 on the axis of 0 .. k - 1
+    dts, sxx = centred_axis([float(e) for e in range(e0, e0 + k)])
+    fixed_dts, fixed_sxx = centred_axis([float(j) for j in range(k)])
+    assert same_bits(dts, fixed_dts)
+    assert same_bits(sxx, fixed_sxx)
+
+
+def test_single_windows_with_and_without_gaps_cross_row_blocks():
+    # path 0, the one Single watches, is attacked every 50 s, and every
+    # attacked epoch leaves a gap in the next 30 windows
+    scenario = Scenario(
+        name="long",
+        n_paths=3,
+        n_epochs=2 * _BLOCK_EPOCHS + 7,
+        method="Single",
+        seed=4,
+        attack_rules=(PeriodicAttackRule((0,), 50.0, 10.0, 10e-9),),
+    )
+    assert scenario.tau == 1.0 and scenario.window == 30
+    flagged = np.flatnonzero(run_scenario(scenario).flags[:, 0])
+    # the windows ending at 4096..4109 are gap-free, those ending at 4111..4125
+    # hold the gap at 4110, and all of them reach back past the block edge
+    assert 4060 in flagged and 4110 in flagged
+    assert not np.any((flagged > 4060) & (flagged < 4110))
+    assert_engines_agree(scenario)
+
+
+def test_single_refits_a_window_of_every_other_epoch_at_tau_one_half():
+    # path 0 is attacked on every odd epoch, so a full window of 30 accepted
+    # epochs spans 29 s, as a gap-free one does at tau 1.0, on other times
+    scenario = Scenario(
+        name="sparse",
+        n_paths=3,
+        n_epochs=300,
+        method="Single",
+        seed=4,
+        tau=0.5,
+        attack_rules=(PeriodicAttackRule((0,), 1.0, 0.5, 10e-9),),
+    )
+    assert run_scenario(scenario).flags[:, 0].tolist() == [e % 2 == 1 for e in range(300)]
     assert_engines_agree(scenario)

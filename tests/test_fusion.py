@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,99 @@ class TestQuietBound:
     def test_unknown_variant_rejected(self, calib3):
         with pytest.raises(ValueError, match="variant"):
             LogOddsKernel(calib3, "majority")
+
+
+@st.composite
+def epochs_near_the_loud_bound(draw, lowest=0.0):
+    """A detector whose paths can all be loud, its kernel, and reports about that far out.
+
+    Each self residual is at least ``lowest`` times its path's bound, before rounding.
+    """
+    _, calib, _, variant = draw(detector_inputs())
+    kernel = LogOddsKernel(calib, variant)
+    bounds = kernel.loud_bound
+    assume(max(bounds) < math.inf)
+    drift_tau = draw(st.floats(-3e-10, 3e-10))
+    # self residuals exactly at the bound and one rounding step either side matter most
+    edges = [e for e in (0.0, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0) if e >= lowest]
+    share = st.one_of(st.sampled_from(edges), st.floats(lowest, 3.0))
+    x = [drift_tau + draw(st.sampled_from([-1.0, 1.0])) * draw(share) * b for b in bounds]
+    return calib, variant, kernel, x, drift_tau
+
+
+class TestLoudBound:
+    """``LogOddsKernel.is_loud`` proves every path flagged without running the kernel."""
+
+    @settings(max_examples=300)
+    @given(epochs_near_the_loud_bound())
+    def test_loud_means_every_self_residual_reaches_its_bound(self, epoch):
+        _, _, kernel, x, drift_tau = epoch
+        reached = all(b <= abs(o - drift_tau) for o, b in zip(x, kernel.loud_bound))
+        assert kernel.is_loud(x, drift_tau) == reached
+
+    @settings(max_examples=300)
+    @given(epochs_near_the_loud_bound(lowest=1.0))
+    def test_a_loud_epoch_flags_every_path(self, epoch):
+        calib, variant, kernel, x, drift_tau = epoch
+        assume(kernel.is_loud(x, drift_tau))
+        assert (fused_log_odds(x, calib, drift_tau, 1.0, variant) > 0.0).all()
+        # the engine's flags come from the kernel's pass over the whole run
+        assert (kernel(np.array([x]), np.array([drift_tau])) > 0.0).all()
+
+    @settings(max_examples=150)
+    @given(detector_inputs())
+    def test_the_bound_is_the_smallest_loud_self_residual(self, inputs):
+        _, calib, _, variant = inputs
+        kernel = LogOddsKernel(calib, variant)
+        n = len(calib.self_cal)
+        for i, bound in enumerate(kernel.loud_bound):
+            assert 0.0 < bound
+            if bound == math.inf:  # the clamps keep row i from ever summing above 0
+                assert not kernel.is_loud([0.0] * n, -sys.float_info.max)
+                continue
+            # every report at 0 and drift * tau at -r: each self residual is r, each cross 0
+            below = math.nextafter(bound, 0.0)
+            assert fused_log_odds([0.0] * n, calib, -bound, 1.0, variant)[i] > 0.0
+            assert fused_log_odds([0.0] * n, calib, -below, 1.0, variant)[i] <= 0.0
+            assert not kernel.is_loud([0.0] * n, -below)
+
+    @settings(max_examples=100)
+    @given(epochs_near_the_loud_bound(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_reports_or_drift_never_pass(self, epoch, bad, data):
+        _, _, kernel, x, drift_tau = epoch
+        assert not kernel.is_loud(x, bad)
+        assert not kernel.is_loud([bad] * len(x), drift_tau)
+        x[data.draw(st.integers(0, len(x) - 1))] = bad
+        assert not kernel.is_loud(x, drift_tau)
+
+    def test_an_infinite_cross_residual_reaches_the_kernel(self, calib3):
+        kernel = LogOddsKernel(calib3, "DS0")
+        x = [sys.float_info.max, -sys.float_info.max, 0.0]
+        # the self residuals are finite and far past the bound; x[0] - x[1] is not
+        assert not kernel.is_loud(x, 1.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            kernel.epoch_sums(x, 1.0)
+
+    def test_a_bound_near_the_top_of_the_float_range_bisects_quietly(self, calib3):
+        # each cross cell is -1e301 at residual 0, so a row is loud past a self
+        # residual of ~1e291, and the bisection tries residuals near 1e299
+        # whose log-odds overflow to inf
+        kernel = LogOddsKernel(calib3, "DS0")
+        kernel.midpoint = np.full((3, 3), 1e301) / calib3.steepness
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = kernel.loud_bound
+        assert all(1e290 < b < 1e292 for b in bounds)
+
+    def test_a_bound_that_cannot_bisect_is_an_endpoint(self, calib3):
+        flags_at_zero = LogOddsKernel(calib3, "DS2")
+        flags_at_zero.midpoint = -calib3.midpoint
+        assert flags_at_zero.loud_bound == [0.0] * 3
+        assert flags_at_zero.is_loud([0.0] * 3, 0.0)
+        never_flags = LogOddsKernel(calib3, "DS0")
+        never_flags.ceiling = never_flags.floor = np.full((3, 3), -1.0)
+        assert never_flags.loud_bound == [math.inf] * 3
+        assert not never_flags.is_loud([0.0, 1e300, -1e300], 0.0)
 
 
 class TestComputeUpdate:

@@ -361,6 +361,21 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="finite"):
             run_scenario(sc)
 
+    def test_a_coasting_ds0_clock_leaving_the_float_range_is_an_error(self):
+        # DS0 flags every path at the first huge jump and coasts, so the jumps
+        # add up; infinite reports are never loud, so the evidence kernel sees
+        # them and rejects them (numpy warns about inf - inf on the way)
+        sc = Scenario(
+            name="blowup",
+            n_paths=3,
+            n_epochs=10,
+            method="DS0",
+            jump_rules=(PeriodicJumpRule(1.0, 0.0, 1.7e308),),
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="residuals must be finite"):
+                run_scenario(sc)
+
     def test_short_run_has_no_deviation_curve(self):
         sc = Scenario(name="blip", n_paths=3, n_epochs=5, method="FTA")
         result = run_scenario(sc)
@@ -435,6 +450,22 @@ def test_baseline_preset_artifacts_match_the_committed_digests(
     result = run_scenario(preset(name, method=method, seed=1))
     paths = emit(result, tmp_path)
     expected = golden_preset_runs[f"{name}_{method}_seed1"]
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
+    assert digests == [expected["csv"], expected["summary"], expected["tdev"]]
+
+
+@pytest.mark.parametrize("seed", range(2, 11))
+@pytest.mark.parametrize(
+    "name, method",
+    [("fig5c", "DS0"), ("fig5d", "DS0"), ("exp3", "DS0"), ("fig3", "Single"), ("fig5b", "Single")],
+)
+def test_loud_and_fixed_axis_runs_match_the_digests_of_later_seeds(
+    name, method, seed, golden_preset_runs, tmp_path
+):
+    # DS0 is loud on 99 % of the epochs of the presets with clock jumps, and
+    # Single fits about 40 % of its fig3 and fig5b windows on the fixed axis
+    paths = emit(run_scenario(preset(name, method=method, seed=seed)), tmp_path)
+    expected = golden_preset_runs[f"{name}_{method}_seed{seed}"]
     digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in paths]
     assert digests == [expected["csv"], expected["summary"], expected["tdev"]]
 
