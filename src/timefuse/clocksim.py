@@ -25,7 +25,7 @@ reproducible regardless of how the caller interleaves other streams.
 Within a stream the draw order is fixed: the clock stream yields the
 phase increment then the frequency increment each epoch; a path stream
 yields the link term then the measurement term.  :func:`draw_noise`
-draws a whole run's terms at once, in that order, so they equal the
+draws the terms of many epochs at once, in that order, so they equal the
 per-epoch draws of :func:`step_clock` and :func:`observe_path`.
 """
 
@@ -243,7 +243,7 @@ def _scaled_normals(rng: np.random.Generator, n_epochs: int, sigmas) -> np.ndarr
 
 
 def draw_noise(noise: NoiseConfig, rngs: RngStreams, n_epochs: int) -> tuple:
-    """Every random term of an ``n_epochs`` run, drawn up front.
+    """Every random term of the next ``n_epochs`` epochs, drawn at once.
 
     Returns ``(clock, link, meas)``: ``clock`` is ``(n_epochs, 2)``, the
     phase-walk and frequency-walk increments of each epoch; ``link`` and

@@ -299,17 +299,24 @@ class LogOddsKernel:
         out = np.empty((b, n))
         step = max(1, _BLOCK_CELLS // (n * n))
         scratch = None
-        for lo in range(0, b, step):
-            hi = min(lo + step, b)
-            if scratch is None or len(scratch.x) != hi - lo:
-                scratch = _Scratch((hi - lo,), n)
-            scratch.x[...] = x[lo:hi]
-            scratch.drift_tau[...] = drift_tau[lo:hi]
-            out[lo:hi] = self._row_sums(scratch)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for lo in range(0, b, step):
+                hi = min(lo + step, b)
+                if scratch is None or len(scratch.x) != hi - lo:
+                    scratch = _Scratch((hi - lo,), n)
+                scratch.x[...] = x[lo:hi]
+                scratch.drift_tau[...] = drift_tau[lo:hi]
+                out[lo:hi] = self._row_sums(scratch)
         return out
 
     def epoch_sums(self, x: Sequence[float], drift_tau: float) -> list:
-        """Row sums of one epoch's reports, as a list; allocates no array."""
+        """Row sums of one epoch's reports, as a list; allocates no array.
+
+        Unlike a call on a batch, this leaves numpy's error state to the
+        caller: a loop over epochs enters ``np.errstate(invalid="ignore",
+        over="ignore")`` once, so that a non-finite epoch raises the
+        kernel's :class:`ValueError` with no warning before it.
+        """
         scratch = self._epoch
         scratch.x[...] = x
         scratch.drift_tau[...] = drift_tau
@@ -452,7 +459,8 @@ def fused_log_odds(
     x = np.asarray(offsets, dtype=float)
     if x.shape != (kernel.n,):
         raise ValueError(f"got {x.size} offsets for {kernel.n} calibrated paths")
-    return np.array(kernel.epoch_sums(x, drift * tau))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.array(kernel.epoch_sums(x, drift * tau))
 
 
 def classify_paths(

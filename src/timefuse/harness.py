@@ -23,6 +23,7 @@ import json
 import math
 import re
 import statistics
+import warnings
 from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
@@ -529,26 +530,38 @@ def preset(name: str, method: str = "DS2", seed: int = 1) -> Scenario:
     raise ScenarioError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 
+#: Epochs per block of a run: the engine draws noise and the CSV codec
+#: writes and reads rows one block at a time, which bounds the memory any
+#: stage takes beyond the run's own columns.
+_BLOCK_EPOCHS = 1024
+
+
+def _blocks(n_epochs: int):
+    """``(lo, hi)`` epoch bounds of each block of an ``n_epochs`` run, in order."""
+    for lo in range(0, n_epochs, _BLOCK_EPOCHS):
+        yield lo, min(lo + _BLOCK_EPOCHS, n_epochs)
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """Everything produced by one run: its per-epoch columns plus derived metrics.
 
     ``true_offsets`` (the clock's true offset), ``corrections`` (the
     steering correction chosen at that epoch) and ``sync_errors`` (their
-    sum: the steered clock's residual time error) hold one value per
-    epoch.  ``measured``, ``flags`` and ``attacks`` are read-only
-    ``(epochs, paths)`` arrays of the reported offsets, the detector flags
-    and the injected attack bias; ``log_odds`` holds the fused log-odds of
-    every cell for the DS methods and is ``None`` for the others.
-    ``tdev`` is the time deviation of ``sync_errors`` over the
-    post-warm-up stretch, or ``None`` when the run is too short.  Counts
-    exclude warm-up epochs.
+    sum: the steered clock's residual time error) are read-only
+    ``(epochs,)`` float arrays.  ``measured``, ``flags`` and ``attacks``
+    are read-only ``(epochs, paths)`` arrays of the reported offsets, the
+    detector flags and the injected attack bias; ``log_odds`` holds the
+    fused log-odds of every cell for the DS methods and is ``None`` for
+    the others.  ``tdev`` is the time deviation of ``sync_errors`` over
+    the post-warm-up stretch, or ``None`` when the run is too short.
+    Counts exclude warm-up epochs.
     """
 
     scenario: Scenario
-    true_offsets: tuple
-    corrections: tuple
-    sync_errors: tuple
+    true_offsets: np.ndarray
+    corrections: np.ndarray
+    sync_errors: np.ndarray
     measured: np.ndarray
     flags: np.ndarray
     attacks: np.ndarray
@@ -559,14 +572,14 @@ class RunResult:
 
     def __post_init__(self) -> None:
         shape = (self.scenario.n_epochs, self.scenario.n_paths)
-        epoch_columns = (self.true_offsets, self.corrections, self.sync_errors)
+        epoch_columns = [self.true_offsets, self.corrections, self.sync_errors]
         cells = [self.measured, self.flags, self.attacks]
         cells += [] if self.log_odds is None else [self.log_odds]
-        if any(len(c) != shape[0] for c in epoch_columns) or any(c.shape != shape for c in cells):
-            raise ValueError(f"need one value per epoch and {shape} per-path columns")
+        if any(c.shape != shape[:1] for c in epoch_columns) or any(c.shape != shape for c in cells):
+            raise ValueError(f"need {shape[:1]} per-epoch and {shape} per-path columns")
         if len(self.path_counts) != shape[1]:
             raise ValueError("need exactly one count set per path")
-        for column in cells:
+        for column in epoch_columns + cells:
             column.flags.writeable = False
 
     @property
@@ -578,9 +591,10 @@ class RunResult:
 class EpochRecords(SequenceABC):
     """Read-only sequence view of a :class:`RunResult` as per-epoch records.
 
-    Each item is an :class:`EpochRecord` built from the run's columns when
-    it is read.  A DS verdict's fused mass is the logistic of the cell's
-    log-odds; the baselines' verdicts carry the vacuous mass.
+    Each item is an :class:`EpochRecord` of Python values, built from the
+    run's columns when it is read.  A DS verdict's fused mass is the
+    logistic of the cell's log-odds; the baselines' verdicts carry the
+    vacuous mass.
     """
 
     __slots__ = ("run",)
@@ -612,26 +626,15 @@ class EpochRecords(SequenceABC):
         )
         return EpochRecord(
             epoch,
-            run.true_offsets[epoch],
+            run.true_offsets[epoch].item(),
             observations,
             verdicts,
-            run.corrections[epoch],
+            run.corrections[epoch].item(),
             run.scenario.method,
         )
 
 
-#: Epochs per block when per-path arrays become Python rows; bounds the
-#: memory those rows take on long runs.
-_BLOCK_EPOCHS = 4096
-
-
-def _row_blocks(*columns):
-    """Row tuples of equally long arrays, converted to Python a block of epochs at a time."""
-    for lo in range(0, len(columns[0]), _BLOCK_EPOCHS):
-        yield from zip(*(c[lo : lo + _BLOCK_EPOCHS].tolist() for c in columns))
-
-
-def _run_stats(flags, attacks, sync_errors: Sequence[float], warm: int, tau: float) -> tuple:
+def _run_stats(flags, attacks, sync_errors: np.ndarray, warm: int, tau: float) -> tuple:
     """``(counts, path_counts, tdev_curve)`` of a run's columns, scored after ``warm`` epochs."""
     path_counts = per_path_counts(flags, attacks, warm)
     counts = sum(path_counts, DetectionCounts(0, 0, 0, 0))
@@ -642,12 +645,16 @@ def _run_stats(flags, attacks, sync_errors: Sequence[float], warm: int, tau: flo
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute the epoch loop for ``scenario``; deterministic in (scenario, seed).
 
-    All noise is drawn and the event schedule expanded before the loop
-    (:func:`~timefuse.clocksim.draw_noise`), so an epoch only does what
-    depends on the previous epoch's correction: advance the true clock
-    with that correction and any scheduled jump, form every path's report,
-    classify the paths (method-dependent), and compute the next
-    correction.  The frequency estimate feeding the fused detector is fit
+    The run goes ``_BLOCK_EPOCHS`` epochs at a time.  Each block's noise
+    is drawn before its epochs, on streams that continue from the block
+    before (:func:`~timefuse.clocksim.draw_noise`), and the event
+    schedule is expanded up front, so an epoch only does what depends on
+    the previous epoch's correction: advance the true clock with that
+    correction and any scheduled jump, form every path's report, classify
+    the paths (method-dependent), and compute the next correction.  The
+    loop's per-epoch outputs go into preallocated columns at the end of
+    each block, and a clock that has left the float range is rejected
+    there.  The frequency estimate feeding the fused detector is fit
     over a window of the accumulated steered offsets from strictly
     earlier epochs.  The DS steering mean adds the kept reports left to
     right in path order (:func:`~timefuse._util.left_sum`); ``np.sum``
@@ -655,10 +662,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     A DS epoch that :meth:`~timefuse.fusion.LogOddsKernel.is_quiet` proves
     flag-free, or :meth:`~timefuse.fusion.LogOddsKernel.is_loud` proves
-    all-flagged, skips the evidence kernel.  The reports and the fused
-    log-odds of every epoch are computed after the loop, from the true
-    offsets and the drift * tau of each epoch, with the additions the
-    loop made.
+    all-flagged, skips the evidence kernel.  The reports of each block,
+    and after the loop the fused log-odds of every epoch, are computed
+    from the true offsets and the drift * tau of each epoch, with the
+    additions the loop made.
 
     The Single detector is :func:`~timefuse.baselines.single_update`
     inlined.  With ``tau == 1.0`` a full window of consecutive epochs
@@ -668,6 +675,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     exact, the same double as on the fixed axis.
     """
     n = scenario.n_paths
+    n_epochs = scenario.n_epochs
     tau = scenario.tau
     window = scenario.window
     method = scenario.method
@@ -679,15 +687,17 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if method == "Single"
         else None
     )
-    clock_noise, link, meas = draw_noise(
-        noise, RngStreams(scenario.seed, n), scenario.n_epochs
-    )
+    rngs = RngStreams(scenario.seed, n)
     attacks = schedule.attacks
-    w_offset, w_drift = clock_noise.T.tolist()
-    time_axis = [k * tau for k in range(min(window, scenario.n_epochs))]
+    time_axis = [k * tau for k in range(min(window, n_epochs))]
     full_axis = centred_axis(time_axis) if len(time_axis) == window else None
-    single_axis = full_axis if tau == 1.0 and window * scenario.n_epochs <= 2**53 else None
+    single_axis = full_axis if tau == 1.0 and window * n_epochs <= 2**53 else None
 
+    true_column = np.empty(n_epochs)
+    corrections = np.empty(n_epochs)
+    drift_taus = np.empty(n_epochs) if kernel is not None else None
+    measured = np.empty((n_epochs, n))
+    flags = np.zeros((n_epochs, n), dtype=bool)
     offset = drift = drift_est = correction = cum_correction = 0.0
     z_history: deque = deque(maxlen=window)
     times: deque = deque(maxlen=window)  # Single: the time of each point in z_history
@@ -695,88 +705,106 @@ def run_scenario(scenario: Scenario) -> RunResult:
     # stand in for the unknown row sums of a quiet (all <= 0) or loud (all > 0) epoch
     quiet_sums = [0.0] * n
     loud_sums = [1.0] * n
-    true_offsets, corrections, drift_taus, single_flags = [], [], [], []
-    rows = _row_blocks(schedule.jumps, link, meas, attacks)
-    for epoch, (jump, link_row, meas_row, attack_row) in enumerate(rows):
-        offset = offset + correction + drift * tau + w_offset[epoch] + jump
-        drift = drift + w_drift[epoch]
-        # the noise and attack terms are finite, so x is never partly NaN,
-        # which is_quiet needs: a NaN offset makes every report NaN, and an
-        # overflow makes a report infinite
-        x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
+    # the kernel rejects a non-finite epoch; numpy's warnings on the way would come first
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo, hi in _blocks(n_epochs):
+            clock_noise, link, meas = draw_noise(noise, rngs, hi - lo)
+            w_offset, w_drift = clock_noise.T.tolist()
+            block_offsets, block_corrections, block_drift_taus, block_flags = [], [], [], []
+            rows = zip(
+                w_offset,
+                w_drift,
+                schedule.jumps[lo:hi].tolist(),
+                link.tolist(),
+                meas.tolist(),
+                attacks[lo:hi].tolist(),
+            )
+            for epoch, (w_o, w_d, jump, link_row, meas_row, attack_row) in enumerate(rows, lo):
+                offset = offset + correction + drift * tau + w_o + jump
+                drift = drift + w_d
+                # the noise and attack terms are finite, so x is never partly NaN,
+                # which is_quiet needs: a NaN offset makes every report NaN, and an
+                # overflow makes a report infinite
+                x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
 
-        if kernel is not None:
-            points = len(z_history)
-            if points == window:
-                drift_est = slope_on_axis(full_axis, z_history)
-            elif points >= 2:
-                drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
-            else:
-                drift_est = 0.0
-            drift_tau = drift_est * tau
-            if kernel.is_quiet(x, drift_tau):
-                sums = quiet_sums
-            elif kernel.is_loud(x, drift_tau):
-                sums = loud_sums
-            else:
-                sums = kernel.epoch_sums(x, drift_tau)
-            if sums is quiet_sums and not any(quarantine_left):
-                kept = x  # what the filter below keeps on a quiet epoch
-            else:
-                kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
-            correction = -left_sum(kept) / len(kept) if kept else -drift_tau
-            if scenario.quarantine:
-                quarantine_left = [
-                    scenario.quarantine if s > 0.0 else max(q - 1, 0)
-                    for s, q in zip(sums, quarantine_left)
-                ]
-            z_history.append(-correction - cum_correction)
-            cum_correction += correction
-            drift_taus.append(drift_tau)
-        elif method == "FTA":
-            correction = fta_update(x)
-        else:
-            prediction = drift_est * tau
-            flagged = abs(x[0] - prediction) > threshold
-            if flagged:
-                correction = -prediction
-            else:
-                correction = -x[0]
-                times.append(epoch * tau)
-                z_history.append(x[0] - cum_correction)
-                k = len(times)
-                if single_axis is not None and k == window and times[-1] - times[0] == k - 1:
-                    drift_est = slope_on_axis(single_axis, z_history)
-                elif k >= 2:
-                    drift_est = slope_on_axis(centred_axis(times), z_history)
-            cum_correction += correction
-            single_flags.append(flagged)
+                if kernel is not None:
+                    points = len(z_history)
+                    if points == window:
+                        drift_est = slope_on_axis(full_axis, z_history)
+                    elif points >= 2:
+                        drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
+                    else:
+                        drift_est = 0.0
+                    drift_tau = drift_est * tau
+                    if kernel.is_quiet(x, drift_tau):
+                        sums = quiet_sums
+                    elif kernel.is_loud(x, drift_tau):
+                        sums = loud_sums
+                    else:
+                        sums = kernel.epoch_sums(x, drift_tau)
+                    if sums is quiet_sums and not any(quarantine_left):
+                        kept = x  # what the filter below keeps on a quiet epoch
+                    else:
+                        kept = [
+                            o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q
+                        ]
+                    correction = -left_sum(kept) / len(kept) if kept else -drift_tau
+                    if scenario.quarantine:
+                        quarantine_left = [
+                            scenario.quarantine if s > 0.0 else max(q - 1, 0)
+                            for s, q in zip(sums, quarantine_left)
+                        ]
+                    z_history.append(-correction - cum_correction)
+                    cum_correction += correction
+                    block_drift_taus.append(drift_tau)
+                elif method == "FTA":
+                    correction = fta_update(x)
+                else:
+                    prediction = drift_est * tau
+                    flagged = abs(x[0] - prediction) > threshold
+                    if flagged:
+                        correction = -prediction
+                    else:
+                        correction = -x[0]
+                        times.append(epoch * tau)
+                        z_history.append(x[0] - cum_correction)
+                        k = len(times)
+                        gap_free = times[-1] - times[0] == k - 1
+                        if single_axis is not None and k == window and gap_free:
+                            drift_est = slope_on_axis(single_axis, z_history)
+                        elif k >= 2:
+                            drift_est = slope_on_axis(centred_axis(times), z_history)
+                    cum_correction += correction
+                    block_flags.append(flagged)
 
-        true_offsets.append(offset)
-        corrections.append(correction)
+                block_offsets.append(offset)
+                block_corrections.append(correction)
 
-    # a non-finite offset or correction stays non-finite in every later epoch
-    if not (math.isfinite(offset) and math.isfinite(correction)):
-        raise ValueError("clock state must be finite")
-    true_column = np.array(true_offsets)
-    # one array, added to in place in the loop's order of additions
-    measured = true_column[:, None] + link
-    measured += meas
-    measured += attacks
+            # a non-finite offset or correction stays non-finite in every later epoch
+            if not (math.isfinite(offset) and math.isfinite(correction)):
+                raise ValueError("clock state must be finite")
+            true_column[lo:hi] = block_offsets
+            corrections[lo:hi] = block_corrections
+            if kernel is not None:
+                drift_taus[lo:hi] = block_drift_taus
+            elif block_flags:
+                flags[lo:hi, 0] = block_flags
+            # added to in place in the loop's order of additions
+            block = measured[lo:hi]
+            np.add(true_column[lo:hi, None], link, out=block)
+            block += meas
+            block += attacks[lo:hi]
     if kernel is not None:
-        log_odds = kernel(measured, np.array(drift_taus))
-        flags = log_odds > 0.0
+        log_odds = kernel(measured, drift_taus)
+        np.greater(log_odds, 0.0, out=flags)
     else:
         log_odds = None
-        flags = np.zeros(attacks.shape, dtype=bool)
-        if single_flags:
-            flags[:, 0] = single_flags
-    sync_errors = tuple((true_column + np.array(corrections)).tolist())
+    sync_errors = true_column + corrections
     counts, path_counts, curve = _run_stats(flags, attacks, sync_errors, scenario.warmup, tau)
     return RunResult(
         scenario=scenario,
-        true_offsets=tuple(true_offsets),
-        corrections=tuple(corrections),
+        true_offsets=true_column,
+        corrections=corrections,
         sync_errors=sync_errors,
         measured=measured,
         flags=flags,
@@ -825,6 +853,50 @@ def _ledger_columns(records: Sequence[EpochRecord]) -> tuple:
     )
 
 
+def _csv_rows(n: int, epochs, true_offsets, measured, flags, corrections, attacks) -> str:
+    """The CSV rows of one block of a run's columns for ``n`` paths."""
+    head = ["%d", "%.3f"] + ["%.3f"] * n
+    row = ",".join(head + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
+    quiet_row = ",".join(head + ["0"] * n + ["%.3f"] + ["0.000"] * n) + "\n"
+    quiet_cells = np.r_[0 : 2 + n, 2 + 2 * n]
+    # epoch and flag cells ride along as floats; "%d" prints them as integers
+    block = np.column_stack(
+        [
+            epochs,
+            np.asarray(true_offsets, dtype=float) * _PS,
+            np.asarray(measured, dtype=float) * _PS,
+            flags,
+            np.asarray(corrections, dtype=float) * _PS,
+            np.asarray(attacks, dtype=float) * _PS,
+        ]
+    )
+    attack_cells = block[:, 3 + 2 * n :]
+    q = (block[:, 2 + n : 2 + 2 * n] == 0.0).all(axis=1) & (
+        (attack_cells == 0.0) & ~np.signbit(attack_cells)
+    ).all(axis=1)
+    # each template formats its own rows; the object array puts them back in epoch order
+    rows = np.empty(len(block), dtype=object)
+    rows[q] = list(map(quiet_row.__mod__, zip(*block[q][:, quiet_cells].T.tolist())))
+    rows[~q] = list(map(row.__mod__, zip(*block[~q].T.tolist())))
+    return "".join(rows.tolist())
+
+
+def _csv_blocks(scenario: Scenario, records: Sequence[EpochRecord]):
+    """The run CSV as text pieces: the preamble and header, then one piece per block of rows.
+
+    A block's cells and row strings are freed before its text is handed on.
+    """
+    n = scenario.n_paths
+    preamble = (
+        scenario.name, scenario.method, scenario.seed, repr(scenario.tau), scenario.window, n
+    )
+    yield "".join(f"# {key}={value}\n" for key, value in zip(_CSV_PREAMBLE, preamble))
+    yield ",".join(_csv_header(n)) + "\n"
+    columns = _ledger_columns(records)
+    for lo, hi in _blocks(len(columns[0])):
+        yield _csv_rows(n, *(c[lo:hi] for c in columns))
+
+
 def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     """The CSV wire form: a ``# key=value`` preamble, a header row, one row per epoch.
 
@@ -832,7 +904,9 @@ def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     trailing per-path attack columns carry the injected truth so the file
     alone suffices to recompute precision, recall and time deviation.
     ``records`` is a run's ledger, :attr:`RunResult.records` or any
-    sequence of :class:`EpochRecord`.
+    sequence of :class:`EpochRecord`.  The rows are formatted
+    ``_BLOCK_EPOCHS`` at a time, the same blocks :func:`write_run_csv`
+    writes to its file one by one.
 
     Most rows are quiet: no flag and every attack cell ``+0.0``.  Those
     rows go through a second template that writes their flag and attack
@@ -840,47 +914,14 @@ def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     the cells that vary are formatted.  A ``-0.0`` attack cell, or one
     that merely rounds to zero, is not quiet and takes the full template.
     """
-    n = scenario.n_paths
-    preamble = (
-        scenario.name, scenario.method, scenario.seed, repr(scenario.tau), scenario.window, n
-    )
-    out = [f"# {key}={value}\n" for key, value in zip(_CSV_PREAMBLE, preamble)]
-    out.append(",".join(_csv_header(n)) + "\n")
-    epochs, true_offsets, measured, flags, corrections, attacks = _ledger_columns(records)
-    if len(epochs):
-        # epoch and flag cells ride along as floats; "%d" prints them as integers
-        table = np.column_stack(
-            [
-                epochs,
-                np.asarray(true_offsets, dtype=float) * _PS,
-                np.asarray(measured, dtype=float) * _PS,
-                flags,
-                np.asarray(corrections, dtype=float) * _PS,
-                np.asarray(attacks, dtype=float) * _PS,
-            ]
-        )
-        head = ["%d", "%.3f"] + ["%.3f"] * n
-        row = ",".join(head + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
-        quiet_row = ",".join(head + ["0"] * n + ["%.3f"] + ["0.000"] * n) + "\n"
-        quiet_cells = np.r_[0 : 2 + n, 2 + 2 * n]
-        attack_cells = table[:, 3 + 2 * n :]
-        quiet = (table[:, 2 + n : 2 + 2 * n] == 0.0).all(axis=1) & (
-            (attack_cells == 0.0) & ~np.signbit(attack_cells)
-        ).all(axis=1)
-        for lo in range(0, len(table), _BLOCK_EPOCHS):
-            block = table[lo : lo + _BLOCK_EPOCHS]
-            q = quiet[lo : lo + _BLOCK_EPOCHS]
-            # each template formats its own rows; the object array puts them back in epoch order
-            rows = np.empty(len(block), dtype=object)
-            rows[q] = list(map(quiet_row.__mod__, zip(*block[q][:, quiet_cells].T.tolist())))
-            rows[~q] = list(map(row.__mod__, zip(*block[~q].T.tolist())))
-            out.extend(rows.tolist())
-    return "".join(out)
+    return "".join(_csv_blocks(scenario, records))
 
 
 def write_run_csv(result: RunResult, path) -> Path:
+    """Write the run CSV of ``result`` to ``path`` one block of rows at a time."""
     path = Path(path)
-    path.write_text(run_csv_text(result.scenario, result.records), encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.writelines(_csv_blocks(result.scenario, result.records))
     return path
 
 
@@ -888,9 +929,10 @@ def write_run_csv(result: RunResult, path) -> Path:
 class ParsedRun:
     """A run read back from its CSV; offsets converted back to seconds.
 
-    ``epochs`` is a tuple of ints.  ``true_offsets`` and ``corrections``
-    are read-only ``(epochs,)`` arrays; ``measured``, ``flags`` (bool) and
-    ``attacks`` are read-only ``(epochs, paths)`` arrays.
+    ``epochs`` is an int64 array.  ``true_offsets`` and ``corrections``
+    are ``(epochs,)`` float arrays; ``measured``, ``flags`` (bool) and
+    ``attacks`` are ``(epochs, paths)`` arrays.  All of them are
+    read-only.
     """
 
     name: str
@@ -899,7 +941,7 @@ class ParsedRun:
     tau: float
     window: int
     n_paths: int
-    epochs: tuple
+    epochs: np.ndarray
     true_offsets: np.ndarray
     measured: np.ndarray
     flags: np.ndarray
@@ -908,7 +950,7 @@ class ParsedRun:
 
     def __post_init__(self) -> None:
         columns = (self.true_offsets, self.measured, self.flags, self.corrections, self.attacks)
-        for column in columns:
+        for column in (self.epochs,) + columns:
             column.flags.writeable = False
 
     @property
@@ -920,19 +962,42 @@ class ParsedRun:
         return min(self.window, len(self.epochs))
 
 
+_LOADTXT_ROW = re.compile(r"at row (\d+)")
+
+
+def _count_lines(path: Path) -> int:
+    """Lines of text in the file at ``path``, as reading it in text mode splits them.
+
+    Text mode ends a line at ``\n``, ``\r`` or ``\r\n``, so a line of
+    text is a run of bytes that are neither, and an empty line is no run.
+    The file is read in chunks of 64 KiB, which the allocator recycles.
+    """
+    lines = 0
+    after_end = True
+    with path.open("rb") as f:
+        while chunk := f.read(1 << 16):
+            raw = np.frombuffer(chunk, dtype=np.uint8)
+            text = (raw != 10) & (raw != 13)
+            lines += int(np.count_nonzero(text[1:] > text[:-1])) + bool(text[0] and after_end)
+            after_end = not text[-1]
+    return lines
+
+
 def parse_run_csv(path) -> ParsedRun:
     """Read a file produced by :func:`write_run_csv` back into memory.
 
-    After the preamble and the header, every row is read by one
-    ``np.loadtxt`` call, which pulls the open file line by line, so the
-    file's text is never held whole.  Each row must have the header's
-    cell count and every cell must be a finite number (``np.loadtxt``
-    accepts ``nan`` and ``inf``, which the writer never produces and
-    which would silently poison the report's statistics); an epoch cell
-    must be an integer and a flag cell must equal 0 or 1 (so ``1.0`` is
-    accepted as a flag).  Empty lines are skipped.  Raises
-    :class:`ValueError` on malformed content (the message includes the
-    file name) and propagates I/O errors unchanged.
+    The data rows are counted first and the columns allocated; then
+    ``np.loadtxt`` reads ``_BLOCK_EPOCHS`` rows at a time from the open
+    file, and each block is checked and stored in the columns, so neither
+    the file's text nor a table of all its cells is ever held whole.
+    Each row must have the header's cell count and every cell must be a
+    finite number (``np.loadtxt`` accepts ``nan`` and ``inf``, which the
+    writer never produces and which would silently poison the report's
+    statistics); an epoch cell must be an integer and a flag cell must
+    equal 0 or 1 (so ``1.0`` is accepted as a flag).  Empty lines are
+    skipped.  Raises :class:`ValueError` on malformed content (the
+    message includes the file name and the row, counted over the whole
+    file) and propagates I/O errors unchanged.
     """
     path = Path(path)
 
@@ -942,11 +1007,13 @@ def parse_run_csv(path) -> ParsedRun:
     with path.open(encoding="utf-8") as f:
         meta: dict = {}
         line = f.readline()
+        header_lines = 1  # every line read so far has text: an empty one fails as the header
         while line.startswith("#"):
             key, sep, value = line.lstrip("# ").partition("=")
             if sep:
                 meta[key.strip()] = value.strip()
             line = f.readline()
+            header_lines += 1
         for key in _CSV_PREAMBLE:
             if key not in meta:
                 fail(f"missing '# {key}=...' in the preamble")
@@ -964,33 +1031,46 @@ def parse_run_csv(path) -> ParsedRun:
             fail("missing header row")
         if line.rstrip("\n").split(",") != expected:
             fail("unexpected header row")
-        # loadtxt skips empty lines, and warns when that leaves no data
-        first = next((row for row in f if row != "\n"), None)
-        if first is None:
-            table = np.empty((0, len(expected)))
-        else:
-            try:
-                table = np.loadtxt(
-                    itertools.chain((first,), f), delimiter=",", comments=None, ndmin=2
-                )
-            except ValueError as exc:
-                fail(str(exc))
-    if table.shape[1] != len(expected):
-        fail(f"rows have {table.shape[1]} cells, expected {len(expected)}")
-    finite = np.isfinite(table)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        fail(f"row {row} has a non-finite {expected[col]} cell")
-    epochs = table[:, 0]
-    # a double holds every integer up to 2**53 exactly
-    ok = (np.abs(epochs) <= 2**53) & (epochs == np.trunc(epochs))
-    if not ok.all():
-        fail(f"row {np.argmin(ok)} has an epoch that is not an integer")
-    flag_cells = table[:, 2 + n : 2 + 2 * n]
-    flags = flag_cells == 1.0
-    ok = (flags | (flag_cells == 0.0)).all(axis=1)
-    if not ok.all():
-        fail(f"row {np.argmin(ok)} has a flag cell that is not 0/1")
+        n_rows = _count_lines(path) - header_lines
+        epochs = np.empty(n_rows, dtype=np.int64)
+        true_offsets = np.empty(n_rows)
+        measured = np.empty((n_rows, n))
+        flags = np.empty((n_rows, n), dtype=bool)
+        corrections = np.empty(n_rows)
+        attacks = np.empty((n_rows, n))
+        with warnings.catch_warnings():
+            # given max_rows, loadtxt warns each time it skips an empty line, as it must here
+            warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
+            for lo, hi in _blocks(n_rows):
+                try:
+                    table = np.loadtxt(f, delimiter=",", comments=None, ndmin=2, max_rows=hi - lo)
+                except ValueError as exc:
+                    # loadtxt counts the rows of its block; the message names the file's
+                    fail(_LOADTXT_ROW.sub(lambda m: f"at row {int(m[1]) + lo}", str(exc)))
+                cells = table.shape[1]
+                if cells != len(expected):
+                    fail(f"rows {lo}..{hi - 1} have {cells} cells, expected {len(expected)}")
+                if len(table) != hi - lo:
+                    fail("the file changed while it was read")
+                finite = np.isfinite(table)
+                if not finite.all():
+                    row, col = np.argwhere(~finite)[0]
+                    fail(f"row {lo + row} has a non-finite {expected[col]} cell")
+                epoch_cells = table[:, 0]
+                # a double holds every integer up to 2**53 exactly
+                ok = (np.abs(epoch_cells) <= 2**53) & (epoch_cells == np.trunc(epoch_cells))
+                if not ok.all():
+                    fail(f"row {lo + np.argmin(ok)} has an epoch that is not an integer")
+                flag_cells = table[:, 2 + n : 2 + 2 * n]
+                block_flags = np.equal(flag_cells, 1.0, out=flags[lo:hi])
+                ok = block_flags | (flag_cells == 0.0)
+                if not ok.all():
+                    fail(f"row {lo + np.argmin(ok.all(axis=1))} has a flag cell that is not 0/1")
+                epochs[lo:hi] = epoch_cells
+                np.divide(table[:, 1], _PS, out=true_offsets[lo:hi])
+                np.divide(table[:, 2 : 2 + n], _PS, out=measured[lo:hi])
+                np.divide(table[:, 2 + 2 * n], _PS, out=corrections[lo:hi])
+                np.divide(table[:, 3 + 2 * n :], _PS, out=attacks[lo:hi])
     return ParsedRun(
         name=meta["name"],
         method=meta["method"],
@@ -998,12 +1078,12 @@ def parse_run_csv(path) -> ParsedRun:
         tau=tau,
         window=window,
         n_paths=n,
-        epochs=tuple(epochs.astype(int).tolist()),
-        true_offsets=table[:, 1] / _PS,
-        measured=table[:, 2 : 2 + n] / _PS,
+        epochs=epochs,
+        true_offsets=true_offsets,
+        measured=measured,
         flags=flags,
-        corrections=table[:, 2 + 2 * n] / _PS,
-        attacks=table[:, 3 + 2 * n :] / _PS,
+        corrections=corrections,
+        attacks=attacks,
     )
 
 
@@ -1057,8 +1137,10 @@ def _format_summary(
             out.write(f"  {factor * tau:7g}  {dev * _PS:9.3f}\n")
     errors = np.asarray(post_errors, dtype=float)
     if len(errors):
-        # fsum is exactly rounded, so the order of the squares does not matter
-        rms = math.sqrt(math.fsum((errors * errors).tolist()) / len(errors))
+        # fsum is exactly rounded; it reads the squares as Python floats a block at a time
+        squares = errors * errors
+        blocks = (squares[lo:hi].tolist() for lo, hi in _blocks(len(squares)))
+        rms = math.sqrt(math.fsum(itertools.chain.from_iterable(blocks)) / len(errors))
         peak = float(np.abs(errors).max())
         out.write(
             f"\nsync error after warmup: rms={rms * _PS:.3f} ps"
@@ -1131,9 +1213,9 @@ def emit(result: RunResult, out_dir, formats: Sequence[str] = EMIT_FORMATS) -> l
     written = []
     for fmt in formats:
         if fmt == "csv":
-            path = out_dir / f"{stem}.csv"
-            text = run_csv_text(s, result.records)
-        elif fmt == "summary":
+            written.append(write_run_csv(result, out_dir / f"{stem}.csv"))
+            continue
+        if fmt == "summary":
             path = out_dir / f"{stem}_summary.txt"
             text = summarize_run(result)
         else:

@@ -2,9 +2,10 @@
 
 ``reference_parse`` below is a row-by-row reader: ``csv.reader`` over
 the open file, one ``float()`` per cell and a dict lookup per flag, the
-run held as tuples of Python floats.  ``parse_run_csv`` reads every data
-row with one ``np.loadtxt`` call; on every file the two must agree bit
-for bit, and so must the statistics recomputed from them.
+run held as tuples of Python floats.  ``parse_run_csv`` reads the data
+rows with ``np.loadtxt``, one block of rows per call; on every file the
+two must agree bit for bit, and so must the statistics recomputed from
+them.
 
 ``reference_csv_text`` is a writer that sends every row of the ledger
 through one ``%`` template.  ``run_csv_text`` writes quiet rows (no
@@ -150,15 +151,17 @@ def same_bits(a, b) -> bool:
 def assert_parsers_agree(path):
     parsed = parse_run_csv(path)
     ref = reference_parse(path)
-    for key in ("name", "method", "seed", "tau", "window", "n_paths", "epochs"):
+    for key in ("name", "method", "seed", "tau", "window", "n_paths"):
         assert getattr(parsed, key) == ref[key], key
+    assert parsed.epochs.dtype == np.int64
+    assert np.array_equal(parsed.epochs, ref["epochs"])
     n = parsed.n_paths
     for key in ("true_offsets", "corrections"):
         assert same_bits(getattr(parsed, key), ref[key]), key
     for key in ("measured", "attacks"):
         assert same_bits(getattr(parsed, key), np.reshape(ref[key], (-1, n))), key
     assert parsed.flags.dtype == bool
-    for key in ("true_offsets", "measured", "flags", "corrections", "attacks"):
+    for key in ("epochs", "true_offsets", "measured", "flags", "corrections", "attacks"):
         assert not getattr(parsed, key).flags.writeable, key
     assert parsed.flags.tolist() == [list(row) for row in ref["flags"]]
     counts, path_counts, curve = parsed_stats(parsed)
@@ -308,7 +311,7 @@ def test_header_only_csv_parses_to_an_empty_run(good_lines, tmp_path, capsys):
         parsed = parse_run_csv(path)
         stats = parsed_stats(parsed)
         summary = summarize_parsed(parsed, stats)
-    assert parsed.epochs == ()
+    assert parsed.epochs.shape == (0,)
     assert parsed.flags.shape == parsed.measured.shape == (0, 3)
     assert parsed.warmup == 0
     counts, path_counts, curve = stats
@@ -341,6 +344,50 @@ def test_non_finite_cells_are_rejected_naming_the_file_and_row(
         parse_run_csv(path)
     assert cli_main(["report", str(path)]) == 2
     assert "invalid data" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_block_lines():
+    """Lines of a 3-path CSV whose rows fill one block of rows and part of the next."""
+    scenario = Scenario(name="two", n_paths=3, n_epochs=_BLOCK_EPOCHS + 50, method="FTA", seed=3)
+    return run_csv_text(scenario, run_scenario(scenario).records).splitlines()
+
+
+#: A data row of the second block, counted from the first data row of the file.
+SECOND_BLOCK_ROW = _BLOCK_EPOCHS + 20
+
+SECOND_BLOCK_FAULTS = {
+    "non-numeric cell": (
+        2,
+        "abc",
+        f"could not convert string 'abc' to float64 at row {SECOND_BLOCK_ROW}",
+    ),
+    "non-finite cell": (2, "inf", f"row {SECOND_BLOCK_ROW} has a non-finite theta_m_1_ps cell"),
+    "non-integer epoch": (0, "2.5", f"row {SECOND_BLOCK_ROW} has an epoch that is not an integer"),
+    "flag cell 2": (FLAG_2, "2", f"row {SECOND_BLOCK_ROW} has a flag cell that is not 0/1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SECOND_BLOCK_FAULTS))
+def test_a_fault_in_the_second_block_names_its_row_in_the_file(case, two_block_lines, tmp_path):
+    cell, value, message = SECOND_BLOCK_FAULTS[case]
+    lines = list(two_block_lines)
+    set_cell(lines, SECOND_BLOCK_ROW, cell, value)
+    path = write_lines(tmp_path / "bad.csv", lines)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        parse_run_csv(path)
+
+
+def test_empty_lines_across_a_block_edge_are_skipped(two_block_lines, tmp_path):
+    clean = parse_run_csv(write_lines(tmp_path / "clean.csv", two_block_lines))
+    lines = list(two_block_lines)
+    edge = FIRST_ROW + _BLOCK_EPOCHS  # the line of the second block's first row
+    # empty lines before the first block's last row, on the edge and after it
+    lines[edge - 1 : edge + 1] = ["", "", lines[edge - 1], "", "", lines[edge], ""]
+    gappy = parse_run_csv(write_lines(tmp_path / "gappy.csv", lines))
+    assert len(gappy.epochs) == _BLOCK_EPOCHS + 50
+    for key in ("epochs", "true_offsets", "measured", "flags", "corrections", "attacks"):
+        assert np.array_equal(getattr(gappy, key), getattr(clean, key)), key
 
 
 def assert_writers_agree(scenario, records):

@@ -3,8 +3,9 @@
 ``reference_run`` below is that loop: one ``step_clock`` and N
 ``observe_path`` calls per epoch, verdict objects from ``classify_paths``,
 the steering correction from ``compute_update``, and the CSV written
-record by record.  ``run_scenario`` draws its noise up front and keeps the
-run as columns; on every scenario the two must agree bit for bit.
+record by record.  ``run_scenario`` draws its noise a block of epochs at
+a time and keeps the run as columns; on every scenario the two must
+agree bit for bit.
 """
 
 import io
@@ -261,6 +262,45 @@ def test_long_run_crosses_row_blocks(method):
     assert_engines_agree(scenario)
 
 
+def block_edge_scenario(n_epochs, method):
+    """A 3-path run with an attack across each block edge and a jump pushed over it."""
+    b = _BLOCK_EPOCHS
+    return Scenario(
+        name="edges",
+        n_paths=3,
+        n_epochs=n_epochs,
+        method=method,
+        seed=5,
+        quarantine=2,
+        attack_rules=(
+            # path 2 from two epochs before each edge up to the edge itself
+            PeriodicAttackRule((1,), float(b), float(b - 2), 10e-9, duration_epochs=3),
+            # path 1, the one Single watches, every 50 s: gaps in its windows
+            PeriodicAttackRule((0,), 50.0, 10.0, 10e-9),
+        ),
+        # due on the last epoch of a block, where path 2 is attacked, so each
+        # jump lands one epoch into the next block
+        jump_rules=(PeriodicJumpRule(float(b), float(b - 1), 1e-9),),
+    )
+
+
+@pytest.mark.parametrize("method", ["DS2", "DS0", "FTA", "Single"])
+@pytest.mark.parametrize(
+    "n_epochs",
+    [1, _BLOCK_EPOCHS - 1, _BLOCK_EPOCHS, _BLOCK_EPOCHS + 1, 2 * _BLOCK_EPOCHS + 7],
+)
+def test_runs_ending_at_and_around_block_edges_match_the_reference(n_epochs, method):
+    scenario = block_edge_scenario(n_epochs, method)
+    schedule = scenario.schedule()
+    if n_epochs > _BLOCK_EPOCHS:
+        assert schedule.attacks[_BLOCK_EPOCHS - 2 : _BLOCK_EPOCHS + 1, 1].all()
+    if n_epochs > _BLOCK_EPOCHS + 1:
+        assert schedule.jump_epochs == {_BLOCK_EPOCHS + 1} | {2 * _BLOCK_EPOCHS + 1} & set(
+            range(n_epochs)
+        )
+    assert_engines_agree(scenario)
+
+
 @given(st.integers(0, 2**40 - 1), st.integers(2, 64))
 def test_a_window_of_consecutive_epochs_has_the_fixed_axis(e0, k):
     # the Single detector fits a gap-free window at tau 1.0 on the axis of 0 .. k - 1
@@ -283,10 +323,14 @@ def test_single_windows_with_and_without_gaps_cross_row_blocks():
     )
     assert scenario.tau == 1.0 and scenario.window == 30
     flagged = np.flatnonzero(run_scenario(scenario).flags[:, 0])
-    # the windows ending at 4096..4109 are gap-free, those ending at 4111..4125
-    # hold the gap at 4110, and all of them reach back past the block edge
-    assert 4060 in flagged and 4110 in flagged
-    assert not np.any((flagged > 4060) & (flagged < 4110))
+    # `before` is the last attack before the first block edge: the windows
+    # ending from the edge to before + 30 hold its gap, those ending from
+    # before + 31 up to the next attack are gap-free, and those ending before
+    # the edge + 29 reach back past it
+    before = max(range(10, _BLOCK_EPOCHS, 50))
+    assert before + 30 >= _BLOCK_EPOCHS and before + 31 < _BLOCK_EPOCHS + 29
+    assert before in flagged and before + 50 in flagged
+    assert not np.any((flagged > before) & (flagged < before + 50))
     assert_engines_agree(scenario)
 
 

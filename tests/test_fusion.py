@@ -367,8 +367,11 @@ class TestLoudBound:
         x = [sys.float_info.max, -sys.float_info.max, 0.0]
         # the self residuals are finite and far past the bound; x[0] - x[1] is not
         assert not kernel.is_loud(x, 1.0)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
-            kernel.epoch_sums(x, 1.0)
+        # neither the one-epoch nor the batch kernel warns before it raises
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            fused_log_odds(x, calib3, 1.0, 1.0, "DS0")
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            kernel(np.array([x]), np.array([1.0]))
 
     def test_a_bound_near_the_top_of_the_float_range_bisects_quietly(self, calib3):
         # each cross cell is -1e301 at residual 0, so a row is loud past a self
