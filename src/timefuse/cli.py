@@ -70,10 +70,9 @@ def _probability(text: str) -> float:
 def _cmd_run(args) -> int:
     text = Path(args.scenario).read_text(encoding="utf-8")
     scenario = scenario_from_json(text)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.method is not None:
-        scenario = replace(scenario, method=args.method)
+    overrides = {k: v for k, v in (("seed", args.seed), ("method", args.method)) if v is not None}
+    if overrides:  # one replace, so the scenario is validated once more at most
+        scenario = replace(scenario, **overrides)
     result = run_scenario(scenario)
     written = emit(result, args.out, formats=args.format)
     # print the summary file emit wrote rather than format the summary again

@@ -48,6 +48,7 @@ __all__ = [
     "build_schedule",
     "draw_noise",
     "observe_path",
+    "schedule_events",
     "step_clock",
 ]
 
@@ -162,6 +163,64 @@ def _rule_epochs(period_s: float, phase_s: float, n_epochs: int, tau: float) -> 
     return np.arange(min(start, n_epochs), n_epochs, min(step, n_epochs))
 
 
+def schedule_events(
+    attack_rules: Iterable[PeriodicAttackRule],
+    jump_rules: Iterable[PeriodicJumpRule],
+    n_epochs: int,
+    n_paths: int,
+    tau: float,
+) -> tuple:
+    """Check the rules and expand them sparsely, as :func:`build_schedule` describes.
+
+    A scenario is validated with this, without the dense arrays.
+
+    Returns ``(attacks, jumps)``: one ``(epochs, paths, magnitude)``
+    triple per attack rule and one ``(epochs, magnitude)`` pair per jump
+    rule.  The overlap check counts each path's attacked epochs in turn,
+    and jumps land on a per-epoch mask of attacked epochs, so nothing
+    here is ``n_epochs * n_paths`` in size unless the attacks are.
+    """
+    attacks = []
+    for rule in attack_rules:
+        bad = [p for p in rule.paths if not 0 <= p < n_paths]
+        if bad:
+            raise ValueError(f"attack rule paths {bad} outside 0..{n_paths - 1}")
+        starts = _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau)
+        epochs = (starts[:, None] + np.arange(rule.duration_epochs)).ravel()
+        attacks.append(
+            (epochs[epochs < n_epochs], np.array(rule.paths, dtype=np.intp), rule.magnitude_s)
+        )
+    # the first cell covered twice, in (epoch, path) order, is the one named
+    attacked = np.zeros(n_epochs, dtype=bool)
+    overlap = None
+    for path in range(n_paths):
+        covers = [epochs for epochs, paths, _ in attacks for p in paths.tolist() if p == path]
+        if not covers:
+            continue
+        counts = np.bincount(np.concatenate(covers), minlength=n_epochs)
+        attacked |= counts > 0
+        twice = np.flatnonzero(counts > 1)
+        if twice.size and (overlap is None or twice[0] < overlap[0]):
+            overlap = (int(twice[0]), path)
+    if overlap is not None:
+        epoch, path = overlap
+        raise ValueError(f"overlapping attack events on path {path} at epoch {epoch}")
+
+    # a jump lands on the first epoch, at or after its own, with no attack on any path
+    free = np.flatnonzero(~attacked)
+    next_free = np.append(free, n_epochs)
+    jumps = []
+    for rule in jump_rules:
+        due = _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau)
+        epochs = next_free[np.searchsorted(free, due)]
+        jumps.append((epochs[epochs < n_epochs], rule.magnitude_s))
+    landed = np.concatenate([np.empty(0, dtype=np.intp)] + [e for e, _ in jumps])
+    counts = np.bincount(landed, minlength=n_epochs)
+    if (counts > 1).any():
+        raise ValueError(f"duplicate jump events at epoch {int(np.argmax(counts > 1))}")
+    return attacks, jumps
+
+
 def build_schedule(
     attack_rules: Iterable[PeriodicAttackRule],
     jump_rules: Iterable[PeriodicJumpRule],
@@ -183,37 +242,13 @@ def build_schedule(
     included), or two jumps land on one epoch.  Attack durations must be
     at least 1; :class:`~timefuse.harness.Scenario` checks that.
     """
+    attack_cells, jump_epochs = schedule_events(attack_rules, jump_rules, n_epochs, n_paths, tau)
     attacks = np.zeros((n_epochs, n_paths))
-    cells = [np.empty(0, dtype=np.intp)]
-    for rule in attack_rules:
-        bad = [p for p in rule.paths if not 0 <= p < n_paths]
-        if bad:
-            raise ValueError(f"attack rule paths {bad} outside 0..{n_paths - 1}")
-        starts = _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau)
-        epochs = (starts[:, None] + np.arange(rule.duration_epochs)).ravel()
-        epochs = epochs[epochs < n_epochs]
-        flat = (epochs[:, None] * n_paths + np.array(rule.paths, dtype=np.intp)).ravel()
-        attacks.flat[flat] = rule.magnitude_s
-        cells.append(flat)
-    hits = np.bincount(np.concatenate(cells), minlength=attacks.size)
-    if (hits > 1).any():
-        epoch, path = divmod(int(np.argmax(hits > 1)), n_paths)
-        raise ValueError(f"overlapping attack events on path {path} at epoch {epoch}")
-
-    # a jump lands on the first epoch, at or after its own, with no attack on any path
-    free = np.flatnonzero(~hits.reshape(n_epochs, n_paths).any(axis=1))
-    next_free = np.append(free, n_epochs)
+    for epochs, paths, magnitude in attack_cells:
+        attacks[epochs[:, None], paths] = magnitude
     jumps = np.zeros(n_epochs)
-    landed = [np.empty(0, dtype=np.intp)]
-    for rule in jump_rules:
-        due = _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau)
-        epochs = next_free[np.searchsorted(free, due)]
-        epochs = epochs[epochs < n_epochs]
-        jumps[epochs] = rule.magnitude_s
-        landed.append(epochs)
-    counts = np.bincount(np.concatenate(landed), minlength=n_epochs)
-    if (counts > 1).any():
-        raise ValueError(f"duplicate jump events at epoch {int(np.argmax(counts > 1))}")
+    for epochs, magnitude in jump_epochs:
+        jumps[epochs] = magnitude
     return EventSchedule(attacks, jumps)
 
 

@@ -146,18 +146,24 @@ class CalibrationSet:
 
     def __post_init__(self) -> None:
         n = len(self.self_cal)
-        channels = [
-            [self.self_cal[i] if i == j else self.for_pair(i, j) for j in range(n)]
-            for i in range(n)
-        ]
-
-        def table(value) -> np.ndarray:
-            return np.array([[value(c) for c in row] for row in channels], dtype=float)
-
-        object.__setattr__(self, "steepness", table(lambda c: c.steepness))
-        object.__setattr__(self, "midpoint", table(lambda c: c.midpoint))
-        object.__setattr__(self, "log_ceiling", table(lambda c: _logit(c.mass_ceiling)))
-        object.__setattr__(self, "log_floor", table(lambda c: _logit(c.mass_floor)))
+        rows, cols = np.triu_indices(n, 1)
+        channels = list(self.self_cal)
+        channels += [self.cross_cal[pair] for pair in zip(rows.tolist(), cols.tolist())]
+        # each calibration object once; channels with equal sigmas share one
+        distinct = list({id(c): c for c in channels}.values())
+        position = {id(c): k for k, c in enumerate(distinct)}
+        at = np.array([position[id(c)] for c in channels], dtype=np.intp)
+        index = np.empty((n, n), dtype=np.intp)
+        index[np.diag_indices(n)] = at[:n]
+        index[rows, cols] = index[cols, rows] = at[n:]
+        values = {
+            "steepness": [c.steepness for c in distinct],
+            "midpoint": [c.midpoint for c in distinct],
+            "log_ceiling": [_logit(c.mass_ceiling) for c in distinct],
+            "log_floor": [_logit(c.mass_floor) for c in distinct],
+        }
+        for name, column in values.items():
+            object.__setattr__(self, name, np.array(column, dtype=float)[index])
 
     def for_pair(self, i: int, j: int) -> Calibration:
         return self.cross_cal[(i, j) if i < j else (j, i)]

@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._csvrows import RowKernel
 from ._util import centred_axis, left_sum, logistic, slope_on_axis
 from .baselines import fta_update, make_single_state, single_residual_sigma
 from .clocksim import (
@@ -43,6 +44,7 @@ from .clocksim import (
     RngStreams,
     build_schedule,
     draw_noise,
+    schedule_events,
 )
 from .evidence import DEFAULT_STEEPNESS_LOG_ODDS, VACUOUS, VARIANTS, MassPair
 from .fusion import (
@@ -202,7 +204,9 @@ class Scenario:
             if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
                 raise ScenarioError("jump_rules: magnitude_s must be non-zero")
         try:
-            self.schedule()
+            schedule_events(
+                self.attack_rules, self.jump_rules, self.n_epochs, self.n_paths, self.tau
+            )
         except ValueError as exc:
             raise ScenarioError(f"event rules: {exc}") from exc
         # the detectors calibrate on these sigmas when the run starts
@@ -237,7 +241,7 @@ class Scenario:
         )
 
     def schedule(self) -> EventSchedule:
-        """The expanded event rules; :meth:`__post_init__` has checked they expand."""
+        """The expanded event rules, dense; :meth:`__post_init__` has checked them sparsely."""
         return build_schedule(
             self.attack_rules, self.jump_rules, self.n_epochs, self.n_paths, self.tau
         )
@@ -853,48 +857,71 @@ def _ledger_columns(records: Sequence[EpochRecord]) -> tuple:
     )
 
 
-def _csv_rows(n: int, epochs, true_offsets, measured, flags, corrections, attacks) -> str:
-    """The CSV rows of one block of a run's columns for ``n`` paths."""
-    head = ["%d", "%.3f"] + ["%.3f"] * n
-    row = ",".join(head + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
-    quiet_row = ",".join(head + ["0"] * n + ["%.3f"] + ["0.000"] * n) + "\n"
-    quiet_cells = np.r_[0 : 2 + n, 2 + 2 * n]
+def _row_kernel(n: int) -> RowKernel:
+    """The row kernel of the run CSV of ``n`` paths; the epoch and flag cells are ``%d``."""
+    return RowKernel(3 + 3 * n, (slice(0, 1), slice(2 + n, 2 + 2 * n)))
+
+
+def _chunk_cells(kernel: RowKernel, n: int, columns: tuple, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of a run's columns as the CSV's cells, in the kernel's scratch.
+
+    ``columns`` is ``(epochs, true_offsets, measured, flags, corrections,
+    attacks)`` of ``n`` paths, as :func:`_ledger_columns` gives them;
+    offsets become picoseconds.
+    """
+    epochs, true_offsets, measured, flags, corrections, attacks = columns
+    v = kernel.chunk[: hi - lo]
+    # a run's epochs are a range, which numpy reads slowly item by item
+    e = epochs[lo:hi]
+    v[:, 0] = np.arange(e.start, e.stop) if isinstance(e, range) else e
+    np.multiply(true_offsets[lo:hi], _PS, out=v[:, 1])
+    np.multiply(measured[lo:hi], _PS, out=v[:, 2 : 2 + n])
+    v[:, 2 + n : 2 + 2 * n] = flags[lo:hi]
+    np.multiply(corrections[lo:hi], _PS, out=v[:, 2 + 2 * n])
+    np.multiply(attacks[lo:hi], _PS, out=v[:, 3 + 2 * n :])
+    return v
+
+
+def _csv_rows(kernel: RowKernel, n: int, columns: tuple, lo: int, hi: int) -> list:
+    """The CSV rows of epochs ``lo:hi`` of a run's columns, as pieces of bytes.
+
+    The kernel formats them a chunk at a time.  If it declines a chunk,
+    the whole block goes through the one ``%`` row template instead.
+    """
+    chunks = [(a, min(a + kernel.chunk_rows, hi)) for a in range(lo, hi, kernel.chunk_rows)]
+    pieces = []
+    for a, b in chunks:
+        piece = kernel.format(_chunk_cells(kernel, n, columns, a, b))
+        if piece is None:
+            break
+        pieces.append(piece)
+    else:
+        return pieces
     # epoch and flag cells ride along as floats; "%d" prints them as integers
-    block = np.column_stack(
-        [
-            epochs,
-            np.asarray(true_offsets, dtype=float) * _PS,
-            np.asarray(measured, dtype=float) * _PS,
-            flags,
-            np.asarray(corrections, dtype=float) * _PS,
-            np.asarray(attacks, dtype=float) * _PS,
-        ]
+    row = ",".join(["%d", "%.3f"] + ["%.3f"] * n + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
+    text = "".join(
+        row % tuple(cells)
+        for a, b in chunks
+        for cells in _chunk_cells(kernel, n, columns, a, b).tolist()
     )
-    attack_cells = block[:, 3 + 2 * n :]
-    q = (block[:, 2 + n : 2 + 2 * n] == 0.0).all(axis=1) & (
-        (attack_cells == 0.0) & ~np.signbit(attack_cells)
-    ).all(axis=1)
-    # each template formats its own rows; the object array puts them back in epoch order
-    rows = np.empty(len(block), dtype=object)
-    rows[q] = list(map(quiet_row.__mod__, zip(*block[q][:, quiet_cells].T.tolist())))
-    rows[~q] = list(map(row.__mod__, zip(*block[~q].T.tolist())))
-    return "".join(rows.tolist())
+    return [text.encode("ascii")]
 
 
 def _csv_blocks(scenario: Scenario, records: Sequence[EpochRecord]):
-    """The run CSV as text pieces: the preamble and header, then one piece per block of rows.
+    """The run CSV as pieces of bytes: the preamble and header, then each block's rows.
 
-    A block's cells and row strings are freed before its text is handed on.
+    One kernel, and so one set of scratch buffers, serves every block.
     """
     n = scenario.n_paths
     preamble = (
         scenario.name, scenario.method, scenario.seed, repr(scenario.tau), scenario.window, n
     )
-    yield "".join(f"# {key}={value}\n" for key, value in zip(_CSV_PREAMBLE, preamble))
-    yield ",".join(_csv_header(n)) + "\n"
+    head = "".join(f"# {key}={value}\n" for key, value in zip(_CSV_PREAMBLE, preamble))
+    yield (head + ",".join(_csv_header(n)) + "\n").encode("utf-8")
     columns = _ledger_columns(records)
+    kernel = _row_kernel(n)
     for lo, hi in _blocks(len(columns[0])):
-        yield _csv_rows(n, *(c[lo:hi] for c in columns))
+        yield from _csv_rows(kernel, n, columns, lo, hi)
 
 
 def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
@@ -908,19 +935,23 @@ def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     ``_BLOCK_EPOCHS`` at a time, the same blocks :func:`write_run_csv`
     writes to its file one by one.
 
-    Most rows are quiet: no flag and every attack cell ``+0.0``.  Those
-    rows go through a second template that writes their flag and attack
-    cells as the literal text ``%d`` and ``%.3f`` give for zero, so only
-    the cells that vary are formatted.  A ``-0.0`` attack cell, or one
-    that merely rounds to zero, is not quiet and takes the full template.
+    The text is byte for byte what one ``%d``/``%.3f`` row template
+    gives.  A numpy kernel (:class:`~timefuse._csvrows.RowKernel`)
+    formats the rows from their picosecond doubles: it rounds each
+    ``%.3f`` cell exactly, half-even on the binary value as ``%`` does,
+    and writes the digits with integer arithmetic.  A block with a cell
+    the kernel cannot take -- a non-finite value, one that rounds to
+    2**53 thousandths or more, or a ``%d`` cell that is not a
+    non-negative integer -- goes whole through that row template
+    instead.
     """
-    return "".join(_csv_blocks(scenario, records))
+    return b"".join(_csv_blocks(scenario, records)).decode("utf-8")
 
 
 def write_run_csv(result: RunResult, path) -> Path:
     """Write the run CSV of ``result`` to ``path`` one block of rows at a time."""
     path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as f:
+    with path.open("wb") as f:
         f.writelines(_csv_blocks(result.scenario, result.records))
     return path
 

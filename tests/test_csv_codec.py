@@ -8,22 +8,34 @@ two must agree bit for bit, and so must the statistics recomputed from
 them.
 
 ``reference_csv_text`` is a writer that sends every row of the ledger
-through one ``%`` template.  ``run_csv_text`` writes quiet rows (no
-flag, every attack cell ``+0.0``) through a second template with the
-flag and attack cells as constant text; the two must agree byte for
-byte.
+through one ``%`` template.  ``run_csv_text`` formats the rows with a
+numpy kernel that rounds each ``%.3f`` cell exactly (half-even on the
+binary value, as ``%`` does) in 64-bit integers and writes the digits
+into fixed-width byte slots; a block with a cell the kernel declines
+(non-finite, 2**53 thousandths or more, or a ``%d`` cell that is not a
+non-negative integer) goes whole through the same ``%`` template.  The
+two writers must agree byte for byte, and the kernel must format any
+double exactly as ``%`` does or decline it: ties, near-ties, signed
+zeros, subnormals and the values around the 2**53 limit included.
 """
 
+import contextlib
 import csv
+import hashlib
+import io
 import itertools
+import json
+import math
 import re
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from test_engine import scenarios
 from timefuse import (
@@ -35,13 +47,18 @@ from timefuse import (
     Scenario,
     preset,
     run_scenario,
+    scenario_to_json,
 )
+from timefuse._csvrows import largest_formattable
 from timefuse.cli import main as cli_main
 from timefuse.harness import (
     _BLOCK_EPOCHS,
     _CSV_PREAMBLE,
     _PS,
+    _blocks,
     _csv_header,
+    _csv_rows,
+    _row_kernel,
     parse_run_csv,
     parsed_stats,
     run_csv_text,
@@ -49,6 +66,8 @@ from timefuse.harness import (
     write_run_csv,
 )
 from timefuse.metrics import per_path_counts, tdev_curve
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 #: CSV cells round to 0.001 ps, so TDEV read back from a CSV may differ
 #: from the in-memory curve by a fraction of that; 0.01 ps is 20 rounding
@@ -490,3 +509,127 @@ def test_a_run_across_row_blocks_is_written():
 def test_header_only_text_matches(edge_run):
     scenario, _ = edge_run
     assert assert_writers_agree(scenario, ()).count("\n") == FIRST_ROW
+
+
+# ---------------------------------------------------------------------------
+# the row kernel, cell by cell
+
+#: Paths of the rows the kernel tests format: cells 0, 4 and 5 are ``%d``.
+KERNEL_PATHS = 2
+INT_CELLS = frozenset({0, 4, 5})
+KERNEL_ROW = ",".join(["%d", "%.3f"] + ["%.3f"] * 2 + ["%d"] * 2 + ["%.3f"] * 3) + "\n"
+#: The largest double whose K = round(|v| * 1000) is below 2**53; the samples straddle it.
+TOP = largest_formattable()
+
+
+def declined(v: float, integer: bool) -> bool:
+    """Whether the kernel must decline a chunk holding ``v`` in a ``%d`` or ``%.3f`` cell."""
+    if not math.isfinite(v) or round(Fraction(abs(v)) * 1000) >= 2**53:
+        return True
+    return integer and (v != int(v) or math.copysign(1.0, v) < 0.0)
+
+
+def assert_kernel_agrees(table):
+    """The kernel formats the rows of ``table`` as the ``%`` template does, or declines them."""
+    v = np.array(table, dtype=float).reshape(-1, 3 + 3 * KERNEL_PATHS)
+    got = _row_kernel(KERNEL_PATHS).format(v)
+    if any(declined(x, j in INT_CELLS) for row in v.tolist() for j, x in enumerate(row)):
+        assert got is None
+    else:
+        assert got == "".join(KERNEL_ROW % tuple(row) for row in v.tolist()).encode("ascii")
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0005, -0.0005, 0.0625, 0.1875,
+    TOP, -TOP, math.nextafter(TOP, 0.0), math.nextafter(TOP, math.inf),
+    -math.nextafter(TOP, math.inf), 2.0**53, 1e300, math.inf, -math.inf, math.nan,
+]
+cell_values = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-(2**20), 2**20).map(lambda k: k / 16),  # exact binary ties at k odd
+    st.integers(-(2**20), 2**20).map(lambda k: k / 2000),  # decimal near-ties
+    st.integers(-(2**20), 2**20).map(lambda k: math.nextafter(k / 2000, math.inf)),
+    st.floats(min_value=TOP / 2, max_value=2 * TOP),  # on either side of K = 2**53
+    st.integers(0, 10**13).map(float),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(cell_values, min_size=9, max_size=45).map(lambda c: c[: len(c) // 9 * 9]))
+def test_the_kernel_formats_any_double_as_percent_does_or_declines(cells):
+    assert_kernel_agrees(cells)
+    for lo in range(0, len(cells), 9):  # each row on its own: a declined row hides no other
+        assert_kernel_agrees(cells[lo : lo + 9])
+
+
+def test_the_kernel_rounds_ties_and_near_ties_as_percent_does():
+    values = [k / 16 for k in range(-4096, 4096)]
+    values += [x for k in range(-4000, 4000) for x in (k / 2000, math.nextafter(k / 2000, 0.0))]
+    values += [5e-324, -5e-324, -0.0, TOP, -TOP, math.nextafter(TOP, 0.0), 123456.0005]
+    values += [float(10**e) * s for e in range(13) for s in (1, -1)]
+    values += [math.nextafter(10.0**e, 0.0) for e in range(13)]
+    values += [0.0] * (-len(values) % 6)
+    rows = np.reshape(values, (-1, 6))
+    ints = np.arange(3 * len(rows)).reshape(-1, 3) % 2  # epoch-like counts and 0/1 flags
+    table = np.column_stack([ints[:, 0] * 10**6 + 999_999, rows[:, :3], ints[:, 1:], rows[:, 3:]])
+    step = _row_kernel(KERNEL_PATHS).chunk_rows
+    for lo in range(0, len(table), step):
+        assert_kernel_agrees(table[lo : lo + step])
+    assert _row_kernel(KERNEL_PATHS).format(table[:step]) is not None
+
+
+@pytest.mark.parametrize("cell", [0, 1, 4, 8])
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, math.nextafter(TOP, math.inf), -1.0, 0.5, -0.0]
+)
+def test_the_kernel_declines_what_it_cannot_format(cell, value):
+    row = [7.0, 1.5, -2.25, 3.0, 1.0, 0.0, 4.0, 5.0, 6.0]
+    row[cell] = value
+    expect_none = declined(value, cell in INT_CELLS)
+    assert (_row_kernel(KERNEL_PATHS).format(np.array([row])) is None) == expect_none
+    assert_kernel_agrees(row)
+
+
+def test_a_block_the_kernel_declines_is_written_through_the_row_template():
+    # a 100 s attack is 1e14 ps: K = 1e17 >= 2**53, so its block takes the fallback
+    scenario = Scenario(
+        name="huge",
+        n_paths=3,
+        n_epochs=2 * _BLOCK_EPOCHS + 10,
+        method="FTA",
+        attack_rules=(PeriodicAttackRule((1,), 1e6, _BLOCK_EPOCHS + 100.0, 100.0),),
+    )
+    result = run_scenario(scenario)
+    attacked = np.flatnonzero(result.attacks[:, 1])
+    assert attacked.tolist() == [_BLOCK_EPOCHS + 100]
+    text = assert_writers_agree(scenario, result.records)
+    assert text.splitlines()[FIRST_ROW + attacked[0]].split(",")[-2] == "100000000000000.000"
+    columns = (range(len(result.flags)), result.true_offsets, result.measured, result.flags,
+               result.corrections, result.attacks)
+    kernel = _row_kernel(scenario.n_paths)
+    for lo, hi in _blocks(scenario.n_epochs):
+        pieces = _csv_rows(kernel, scenario.n_paths, columns, lo, hi)
+        assert len(pieces) == (1 if lo <= attacked[0] < hi else -(-(hi - lo) // kernel.chunk_rows))
+
+
+def test_the_six_hour_day_run_artifacts_match_the_committed_digests(tmp_path):
+    # perfbench's day_run at seed 1 through the command line: the only golden
+    # run with 22 blocks of rows and five-digit epochs
+    scenario = replace(preset("fig5d", method="FTA", seed=1), n_epochs=21_600)
+    day = tmp_path / "day.json"
+    day.write_text(scenario_to_json(scenario), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["run", str(day), "--out", str(tmp_path / "run")]) == 0
+        csv_path = tmp_path / "run" / "fig5d_FTA_seed1.csv"
+        assert cli_main(["report", str(csv_path), "--out", str(tmp_path / "report")]) == 0
+    files = {
+        "csv": tmp_path / "run" / "fig5d_FTA_seed1.csv",
+        "summary": tmp_path / "run" / "fig5d_FTA_seed1_summary.txt",
+        "tdev": tmp_path / "run" / "fig5d_FTA_seed1_tdev.csv",
+        "report_summary": tmp_path / "report" / "fig5d_FTA_seed1_summary.txt",
+        "report_tdev": tmp_path / "report" / "fig5d_FTA_seed1_tdev.csv",
+    }
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["day_run"]["fig5d_FTA_seed1"]
+    assert {key: hashlib.sha256(p.read_bytes()).hexdigest() for key, p in files.items()} == golden

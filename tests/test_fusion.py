@@ -26,7 +26,7 @@ from timefuse import (
     residual_sigmas,
     residuals_for_path,
 )
-from timefuse.fusion import LogOddsKernel, fused_log_odds
+from timefuse.fusion import LogOddsKernel, _logit, fused_log_odds
 
 Z_1E6 = 4.753424308817089  # Gaussian quantile at 1 - 1e-6
 
@@ -89,6 +89,32 @@ class TestCalibrationSet:
     def test_clamps_carried_through(self, calib5):
         assert calib5.self_cal[0].mass_ceiling == 0.74
         assert calib5.self_cal[0].mass_floor == 0.26
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_tables_match_the_per_cell_construction(self, n):
+        noise = NoiseConfig(
+            10e-12,
+            1e-12,
+            tuple((10.0 + i) * 1e-12 for i in range(n)),
+            tuple((25.0 + 3.0 * i) * 1e-12 for i in range(n)),
+            tau=1.0,
+        )
+        calib = build_calibration_set(noise, 1e-6, 1e-6, mass_ceiling=0.74, mass_floor=0.26)
+        assert len(set(calib.self_cal)) == n  # distinct per-path sigmas
+        channels = [
+            [calib.self_cal[i] if i == j else calib.for_pair(i, j) for j in range(n)]
+            for i in range(n)
+        ]
+        for name, value in (
+            ("steepness", lambda c: c.steepness),
+            ("midpoint", lambda c: c.midpoint),
+            ("log_ceiling", lambda c: _logit(c.mass_ceiling)),
+            ("log_floor", lambda c: _logit(c.mass_floor)),
+        ):
+            want = np.array([[value(c) for c in row] for row in channels], dtype=float)
+            got = getattr(calib, name)
+            assert got.shape == (n, n) and got.dtype == np.float64, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestResidualsForPath:

@@ -1,6 +1,6 @@
-"""A full-day run and its report stay within a fixed memory budget.
+"""A full-day run and its report, and the CSV writer, stay within fixed memory budgets.
 
-The budget is measured in a fresh interpreter, so nothing the test
+The day's budget is measured in a fresh interpreter, so nothing the test
 session has imported or allocated counts: ``timefuse run`` and then
 ``timefuse report`` on fig5d under DS2 for 86,400 one-second epochs, and
 the peak resident memory compared with the resident memory after
@@ -15,14 +15,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import timefuse
+from timefuse.harness import _BLOCK_EPOCHS
 
 #: Peak memory above import that a day's run plus its report may take.
 LIMIT_MB = 50.0
+#: What the CSV writer may hold beyond one block's text: the row kernel's
+#: scratch (about 0.25 MiB, for a fixed number of cells) and a chunk's bytes.
+WRITER_SCRATCH_BYTES = 2**19
 
 DAY_RUN = """
 import contextlib, io, json, sys
@@ -72,3 +77,28 @@ def test_a_day_run_and_its_report_stay_within_the_memory_budget(tmp_path):
     assert result["codes"] == [0, 0]
     assert result["rows"] == 7 + 86_400  # the preamble, the header and one row per epoch
     assert result["above"] / 2**20 < LIMIT_MB
+
+
+def test_the_csv_writer_holds_one_block_of_text_and_a_fixed_scratch(tmp_path):
+    n = 20
+    attacks = tuple(
+        timefuse.PeriodicAttackRule(paths=(i,), period_s=50.0, phase_s=2.0 * i, magnitude_s=1e-8)
+        for i in range(n)
+    )
+    scenario = timefuse.Scenario(
+        name="wide", n_paths=n, n_epochs=3 * _BLOCK_EPOCHS, method="DS2", attack_rules=attacks
+    )
+    result = timefuse.run_scenario(scenario)
+    path = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        timefuse.write_run_csv(result, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = path.read_bytes().splitlines(keepends=True)[7:]  # the preamble and header first
+    block_bytes = max(
+        sum(map(len, lines[lo : lo + _BLOCK_EPOCHS])) for lo in range(0, len(lines), _BLOCK_EPOCHS)
+    )
+    assert len(lines) == 3 * _BLOCK_EPOCHS
+    assert peak < block_bytes + WRITER_SCRATCH_BYTES
