@@ -51,7 +51,6 @@ from .fusion import (
 from .harness import (
     METHODS,
     PRESET_NAMES,
-    ParsedRun,
     RunResult,
     Scenario,
     ScenarioError,
@@ -86,7 +85,6 @@ __all__ = [
     "MassPair",
     "METHODS",
     "NoiseConfig",
-    "ParsedRun",
     "PathObservation",
     "PeriodicAttackRule",
     "PeriodicJumpRule",

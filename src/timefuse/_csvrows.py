@@ -71,13 +71,14 @@ def _digit_bytes(g: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
 class RowKernel:
     """Formats CSV rows of doubles exactly as ``%d`` and ``%.3f`` cells do, a chunk at a time.
 
-    A row has ``cells`` cells; those in the ``int_columns`` slices are
-    ``%d`` cells and the others ``%.3f``.  :meth:`format` turns up to
-    ``chunk_rows`` rows into their bytes (cells joined by ``,``, each row
-    ended by a newline), or declines with ``None``; :attr:`chunk` is
-    scratch of that shape for the caller to fill.  It declines a chunk
-    with a non-finite cell, a cell whose ``K = round(|v| * 1000)`` is
-    2**53 or more, or a ``%d`` cell that is not a non-negative integer.
+    A row has ``cells`` cells; those that the ``int_columns`` indices and
+    slices pick are ``%d`` cells and the others ``%.3f``.  :meth:`format`
+    turns up to ``chunk_rows`` rows into their bytes (cells joined by
+    ``,``, each row ended by a newline), or declines with ``None``;
+    :attr:`chunk` is scratch of that shape for the caller to fill.  It
+    declines a chunk with a non-finite cell, a cell whose
+    ``K = round(|v| * 1000)`` is 2**53 or more, or a ``%d`` cell that is
+    not a non-negative integer.
 
     ``%.3f`` prints the exact binary value rounded half-even to three
     decimals, so the kernel computes K exactly, in 64-bit integers: from

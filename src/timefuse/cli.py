@@ -110,7 +110,7 @@ def _cmd_report(args) -> int:
     for k, name in enumerate(args.csv):
         parsed = parse_run_csv(name)
         stats = parsed_stats(parsed)
-        summary = summarize_parsed(parsed, stats)
+        summary = summarize_parsed(parsed)
         if k:
             print()
         print(summary, end="")

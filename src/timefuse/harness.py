@@ -4,11 +4,13 @@ A :class:`Scenario` pins everything a run needs -- clock and path noise,
 the event schedule rules, the steering method, detector calibration
 inputs and the seed -- so that a run is a pure function of the scenario.
 ``run_scenario`` executes the epoch loop and returns a :class:`RunResult`
-with the run's per-epoch columns and the derived metrics; ``emit``
-writes the result as CSV (one row per epoch), a human-readable summary
-table, or (tau, tdev) plot data.  Emitted CSVs carry enough metadata in a comment
-preamble to recompute every metric from the file alone, which is what
-``parse_run_csv`` plus ``parsed_stats`` do.
+with the run's per-epoch columns and the metrics derived from them;
+``emit`` writes the result as CSV (one row per epoch, in the column
+layout of ``_CSV_COLUMNS``), a human-readable summary table, or
+(tau, tdev) plot data.  Emitted CSVs carry enough metadata in a comment
+preamble to recompute every metric from the file alone:
+``parse_run_csv`` reads one back into a :class:`RunResult` of its own,
+whose metrics come from the file's columns.
 
 All offsets are held in seconds internally; files report picoseconds
 with three decimals.  Path indices are 0-based in code and 1-based in
@@ -26,7 +28,7 @@ import statistics
 import warnings
 from collections import deque
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from ._csvrows import RowKernel
 from ._util import centred_axis, left_sum, logistic, slope_on_axis
-from .baselines import fta_update, make_single_state, single_residual_sigma
+from .baselines import fta_update, single_residual_sigma
 from .clocksim import (
     EventSchedule,
     NoiseConfig,
@@ -46,7 +48,13 @@ from .clocksim import (
     draw_noise,
     schedule_events,
 )
-from .evidence import DEFAULT_STEEPNESS_LOG_ODDS, VACUOUS, VARIANTS, MassPair
+from .evidence import (
+    DEFAULT_STEEPNESS_LOG_ODDS,
+    VACUOUS,
+    VARIANTS,
+    MassPair,
+    threshold_for_false_alarm,
+)
 from .fusion import (
     CalibrationSet,
     EpochRecord,
@@ -60,7 +68,6 @@ from .metrics import DetectionCounts, TdevCurve, per_path_counts, tdev_curve
 __all__ = [
     "METHODS",
     "PRESET_NAMES",
-    "ParsedRun",
     "RunResult",
     "Scenario",
     "ScenarioError",
@@ -548,43 +555,69 @@ def _blocks(n_epochs: int):
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """Everything produced by one run: its per-epoch columns plus derived metrics.
+    """One run, simulated by :func:`run_scenario` or read back by :func:`parse_run_csv`.
 
-    ``true_offsets`` (the clock's true offset), ``corrections`` (the
-    steering correction chosen at that epoch) and ``sync_errors`` (their
-    sum: the steered clock's residual time error) are read-only
-    ``(epochs,)`` float arrays.  ``measured``, ``flags`` and ``attacks``
-    are read-only ``(epochs, paths)`` arrays of the reported offsets, the
-    detector flags and the injected attack bias; ``log_odds`` holds the
-    fused log-odds of every cell for the DS methods and is ``None`` for
-    the others.  ``tdev`` is the time deviation of ``sync_errors`` over
-    the post-warm-up stretch, or ``None`` when the run is too short.
-    Counts exclude warm-up epochs.
+    ``name``, ``method``, ``seed``, ``tau`` and ``window`` are the run
+    CSV's preamble.  ``epochs`` (int64), ``true_offsets`` (the clock's
+    true offset), ``corrections`` (the steering correction chosen at that
+    epoch) and ``sync_errors`` (their sum: the steered clock's residual
+    time error) are read-only ``(epochs,)`` arrays.  ``measured``,
+    ``flags`` and ``attacks`` are read-only ``(epochs, paths)`` arrays of
+    the reported offsets, the detector flags and the injected attack
+    bias.  ``log_odds`` holds the fused log-odds of every cell of a
+    simulated DS run, and ``scenario`` the scenario of a simulated run;
+    both are ``None`` otherwise, since the CSV carries neither.
+
+    ``sync_errors``, ``counts``, ``path_counts`` and ``tdev`` are
+    computed from the columns when the run is built.  ``tdev`` is the
+    time deviation of ``sync_errors`` over the post-warm-up stretch, or
+    ``None`` when that is too short.  Counts exclude warm-up epochs.
     """
 
-    scenario: Scenario
+    name: str
+    method: str
+    seed: int
+    tau: float
+    window: int
+    epochs: np.ndarray
     true_offsets: np.ndarray
     corrections: np.ndarray
-    sync_errors: np.ndarray
     measured: np.ndarray
     flags: np.ndarray
     attacks: np.ndarray
-    log_odds: np.ndarray | None
-    tdev: TdevCurve | None
-    counts: DetectionCounts
-    path_counts: tuple
+    log_odds: np.ndarray | None = None
+    scenario: Scenario | None = None
+    sync_errors: np.ndarray = field(init=False)
+    counts: DetectionCounts = field(init=False)
+    path_counts: tuple = field(init=False)
+    tdev: TdevCurve | None = field(init=False)
 
     def __post_init__(self) -> None:
-        shape = (self.scenario.n_epochs, self.scenario.n_paths)
-        epoch_columns = [self.true_offsets, self.corrections, self.sync_errors]
+        shape = self.measured.shape
+        epoch_columns = [self.epochs, self.true_offsets, self.corrections]
         cells = [self.measured, self.flags, self.attacks]
         cells += [] if self.log_odds is None else [self.log_odds]
         if any(c.shape != shape[:1] for c in epoch_columns) or any(c.shape != shape for c in cells):
             raise ValueError(f"need {shape[:1]} per-epoch and {shape} per-path columns")
-        if len(self.path_counts) != shape[1]:
-            raise ValueError("need exactly one count set per path")
-        for column in epoch_columns + cells:
+        sync_errors = self.true_offsets + self.corrections
+        for column in epoch_columns + cells + [sync_errors]:
             column.flags.writeable = False
+        warm = self.warmup
+        path_counts = per_path_counts(self.flags, self.attacks, warm)
+        post = sync_errors[warm:]
+        object.__setattr__(self, "sync_errors", sync_errors)
+        object.__setattr__(self, "counts", sum(path_counts, DetectionCounts(0, 0, 0, 0)))
+        object.__setattr__(self, "path_counts", path_counts)
+        object.__setattr__(self, "tdev", tdev_curve(post, self.tau) if len(post) >= 4 else None)
+
+    @property
+    def n_paths(self) -> int:
+        return self.measured.shape[1]
+
+    @property
+    def warmup(self) -> int:
+        """Epochs excluded from scoring while the frequency estimate converges."""
+        return min(self.window, len(self.epochs))
 
     @property
     def records(self) -> "EpochRecords":
@@ -607,43 +640,36 @@ class EpochRecords(SequenceABC):
         self.run = run
 
     def __len__(self) -> int:
-        return len(self.run.true_offsets)
+        return len(self.run.epochs)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[e] for e in range(len(self))[index]]
-        epoch = range(len(self))[index]
+        row = range(len(self))[index]
         run = self.run
+        epoch = run.epochs[row].item()
         observations = tuple(
             PathObservation(i, epoch, m, a)
             for i, (m, a) in enumerate(
-                zip(run.measured[epoch].tolist(), run.attacks[epoch].tolist())
+                zip(run.measured[row].tolist(), run.attacks[row].tolist())
             )
         )
         if run.log_odds is None:
             fused = [VACUOUS] * len(observations)
         else:
-            fused = [MassPair(m, 1.0 - m) for m in map(logistic, run.log_odds[epoch].tolist())]
+            fused = [MassPair(m, 1.0 - m) for m in map(logistic, run.log_odds[row].tolist())]
         verdicts = tuple(
             Verdict(i, epoch, f, flag)
-            for i, (f, flag) in enumerate(zip(fused, run.flags[epoch].tolist()))
+            for i, (f, flag) in enumerate(zip(fused, run.flags[row].tolist()))
         )
         return EpochRecord(
             epoch,
-            run.true_offsets[epoch].item(),
+            run.true_offsets[row].item(),
             observations,
             verdicts,
-            run.corrections[epoch].item(),
-            run.scenario.method,
+            run.corrections[row].item(),
+            run.method,
         )
-
-
-def _run_stats(flags, attacks, sync_errors: np.ndarray, warm: int, tau: float) -> tuple:
-    """``(counts, path_counts, tdev_curve)`` of a run's columns, scored after ``warm`` epochs."""
-    path_counts = per_path_counts(flags, attacks, warm)
-    counts = sum(path_counts, DetectionCounts(0, 0, 0, 0))
-    post = sync_errors[warm:]
-    return counts, path_counts, tdev_curve(post, tau) if len(post) >= 4 else None
 
 
 def run_scenario(scenario: Scenario) -> RunResult:
@@ -687,7 +713,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     schedule = scenario.schedule()
     kernel = LogOddsKernel(scenario.calibrations(), method) if method in VARIANTS else None
     threshold = (
-        make_single_state(noise, scenario.p_false_alarm, scenario.two_sided).threshold
+        threshold_for_false_alarm(
+            single_residual_sigma(noise), scenario.p_false_alarm, scenario.two_sided
+        )
         if method == "Single"
         else None
     )
@@ -803,20 +831,20 @@ def run_scenario(scenario: Scenario) -> RunResult:
         np.greater(log_odds, 0.0, out=flags)
     else:
         log_odds = None
-    sync_errors = true_column + corrections
-    counts, path_counts, curve = _run_stats(flags, attacks, sync_errors, scenario.warmup, tau)
     return RunResult(
-        scenario=scenario,
+        name=scenario.name,
+        method=method,
+        seed=scenario.seed,
+        tau=tau,
+        window=window,
+        epochs=np.arange(n_epochs),
         true_offsets=true_column,
         corrections=corrections,
-        sync_errors=sync_errors,
         measured=measured,
         flags=flags,
         attacks=attacks,
         log_odds=log_odds,
-        tdev=curve,
-        counts=counts,
-        path_counts=path_counts,
+        scenario=scenario,
     )
 
 
@@ -828,112 +856,115 @@ _PS = 1e12
 #: Preamble keys of the run CSV, in file order.
 _CSV_PREAMBLE = ("name", "method", "seed", "tau_s", "window_epochs", "n_paths")
 
+#: The run CSV's columns, in file order: the :class:`RunResult` field each
+#: one holds, its name in the header row, whether it has one cell per path
+#: (``{}`` in the name is the 1-based path) and its cells' ``%`` format.
+#: A ``%.3f`` column holds offsets in seconds, written as picoseconds.
+_CSV_COLUMNS = (
+    ("epochs", "epoch", False, "%d"),
+    ("true_offsets", "true_theta_ps", False, "%.3f"),
+    ("measured", "theta_m_{}_ps", True, "%.3f"),
+    ("flags", "flag_{}", True, "%d"),
+    ("corrections", "u_theta_ps", False, "%.3f"),
+    ("attacks", "attack_{}_ps", True, "%.3f"),
+)
 
-def _csv_header(n: int) -> list:
-    """Column names of the run CSV for ``n`` paths."""
-    return (
-        ["epoch", "true_theta_ps"]
-        + [f"theta_m_{i + 1}_ps" for i in range(n)]
-        + [f"flag_{i + 1}" for i in range(n)]
-        + ["u_theta_ps"]
-        + [f"attack_{i + 1}_ps" for i in range(n)]
-    )
 
+def _csv_layout(n: int) -> tuple:
+    """``(header, formats, columns)`` of the run CSV of ``n`` paths, from :data:`_CSV_COLUMNS`.
 
-def _ledger_columns(records: Sequence[EpochRecord]) -> tuple:
-    """``(epochs, true_offsets, measured, flags, corrections, attacks)`` of a ledger."""
-    if isinstance(records, EpochRecords):
-        r = records.run
-        return (
-            range(len(records)), r.true_offsets, r.measured, r.flags, r.corrections, r.attacks
-        )
-    return (
-        [r.epoch for r in records],
-        [r.true_offset for r in records],
-        [[o.measured_offset for o in r.observations] for r in records],
-        [[v.flagged for v in r.verdicts] for r in records],
-        [r.correction for r in records],
-        [[o.attack_truth for o in r.observations] for r in records],
-    )
+    ``header`` and ``formats`` give each cell of a row its name and its
+    ``%`` format.  ``columns`` holds ``(field, cells, fmt)`` for each
+    column, where ``cells`` picks the column's cells out of a row: a
+    slice of ``n`` cells for a per-path column, one index otherwise.
+    """
+    header, formats, columns = [], [], []
+    for name, label, per_path, fmt in _CSV_COLUMNS:
+        start = len(header)
+        if per_path:
+            header += [label.format(i + 1) for i in range(n)]
+            columns.append((name, slice(start, start + n), fmt))
+        else:
+            header.append(label)
+            columns.append((name, start, fmt))
+        formats += [fmt] * (len(header) - start)
+    return header, formats, columns
 
 
 def _row_kernel(n: int) -> RowKernel:
-    """The row kernel of the run CSV of ``n`` paths; the epoch and flag cells are ``%d``."""
-    return RowKernel(3 + 3 * n, (slice(0, 1), slice(2 + n, 2 + 2 * n)))
+    """The row kernel of the run CSV of ``n`` paths, with its ``%d`` columns as integer cells."""
+    header, _, columns = _csv_layout(n)
+    return RowKernel(len(header), tuple(cells for _, cells, fmt in columns if fmt == "%d"))
 
 
-def _chunk_cells(kernel: RowKernel, n: int, columns: tuple, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo:hi`` of a run's columns as the CSV's cells, in the kernel's scratch.
+def _chunk_cells(kernel: RowKernel, columns: list, run: RunResult, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of ``run`` as the CSV's cells, in the kernel's scratch.
 
-    ``columns`` is ``(epochs, true_offsets, measured, flags, corrections,
-    attacks)`` of ``n`` paths, as :func:`_ledger_columns` gives them;
-    offsets become picoseconds.
+    ``columns`` is the third item of :func:`_csv_layout`; offsets become
+    picoseconds.
     """
-    epochs, true_offsets, measured, flags, corrections, attacks = columns
     v = kernel.chunk[: hi - lo]
-    # a run's epochs are a range, which numpy reads slowly item by item
-    e = epochs[lo:hi]
-    v[:, 0] = np.arange(e.start, e.stop) if isinstance(e, range) else e
-    np.multiply(true_offsets[lo:hi], _PS, out=v[:, 1])
-    np.multiply(measured[lo:hi], _PS, out=v[:, 2 : 2 + n])
-    v[:, 2 + n : 2 + 2 * n] = flags[lo:hi]
-    np.multiply(corrections[lo:hi], _PS, out=v[:, 2 + 2 * n])
-    np.multiply(attacks[lo:hi], _PS, out=v[:, 3 + 2 * n :])
+    for name, cells, fmt in columns:
+        column = getattr(run, name)[lo:hi]
+        if fmt == "%d":
+            v[:, cells] = column
+        else:
+            np.multiply(column, _PS, out=v[:, cells])
     return v
 
 
-def _csv_rows(kernel: RowKernel, n: int, columns: tuple, lo: int, hi: int) -> list:
-    """The CSV rows of epochs ``lo:hi`` of a run's columns, as pieces of bytes.
+def _csv_rows(kernel: RowKernel, layout: tuple, run: RunResult, lo: int, hi: int) -> list:
+    """The CSV rows of epochs ``lo:hi`` of ``run``, as pieces of bytes.
 
     The kernel formats them a chunk at a time.  If it declines a chunk,
-    the whole block goes through the one ``%`` row template instead.
+    the whole block goes through the one ``%`` row template of
+    ``layout`` (:func:`_csv_layout`) instead.
     """
+    _, formats, columns = layout
     chunks = [(a, min(a + kernel.chunk_rows, hi)) for a in range(lo, hi, kernel.chunk_rows)]
     pieces = []
     for a, b in chunks:
-        piece = kernel.format(_chunk_cells(kernel, n, columns, a, b))
+        piece = kernel.format(_chunk_cells(kernel, columns, run, a, b))
         if piece is None:
             break
         pieces.append(piece)
     else:
         return pieces
     # epoch and flag cells ride along as floats; "%d" prints them as integers
-    row = ",".join(["%d", "%.3f"] + ["%.3f"] * n + ["%d"] * n + ["%.3f"] * (1 + n)) + "\n"
+    row = ",".join(formats) + "\n"
     text = "".join(
         row % tuple(cells)
         for a, b in chunks
-        for cells in _chunk_cells(kernel, n, columns, a, b).tolist()
+        for cells in _chunk_cells(kernel, columns, run, a, b).tolist()
     )
     return [text.encode("ascii")]
 
 
-def _csv_blocks(scenario: Scenario, records: Sequence[EpochRecord]):
+def _csv_blocks(run: RunResult):
     """The run CSV as pieces of bytes: the preamble and header, then each block's rows.
 
     One kernel, and so one set of scratch buffers, serves every block.
     """
-    n = scenario.n_paths
-    preamble = (
-        scenario.name, scenario.method, scenario.seed, repr(scenario.tau), scenario.window, n
-    )
+    n = run.n_paths
+    preamble = (run.name, run.method, run.seed, repr(run.tau), run.window, n)
     head = "".join(f"# {key}={value}\n" for key, value in zip(_CSV_PREAMBLE, preamble))
-    yield (head + ",".join(_csv_header(n)) + "\n").encode("utf-8")
-    columns = _ledger_columns(records)
+    layout = _csv_layout(n)
+    yield (head + ",".join(layout[0]) + "\n").encode("utf-8")
     kernel = _row_kernel(n)
-    for lo, hi in _blocks(len(columns[0])):
-        yield from _csv_rows(kernel, n, columns, lo, hi)
+    for lo, hi in _blocks(len(run.epochs)):
+        yield from _csv_rows(kernel, layout, run, lo, hi)
 
 
-def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
+def run_csv_text(scenario: Scenario, records: EpochRecords) -> str:
     """The CSV wire form: a ``# key=value`` preamble, a header row, one row per epoch.
 
     Offsets are picoseconds with three decimals; flags are 0/1.  The
     trailing per-path attack columns carry the injected truth so the file
     alone suffices to recompute precision, recall and time deviation.
-    ``records`` is a run's ledger, :attr:`RunResult.records` or any
-    sequence of :class:`EpochRecord`.  The rows are formatted
-    ``_BLOCK_EPOCHS`` at a time, the same blocks :func:`write_run_csv`
-    writes to its file one by one.
+    ``records`` is :attr:`RunResult.records` of a run of ``scenario``,
+    and the text is written from that run (``records.run``).  The rows
+    are formatted ``_BLOCK_EPOCHS`` at a time, the same blocks
+    :func:`write_run_csv` writes to its file one by one.
 
     The text is byte for byte what one ``%d``/``%.3f`` row template
     gives.  A numpy kernel (:class:`~timefuse._csvrows.RowKernel`)
@@ -945,52 +976,15 @@ def run_csv_text(scenario: Scenario, records: Sequence[EpochRecord]) -> str:
     non-negative integer -- goes whole through that row template
     instead.
     """
-    return b"".join(_csv_blocks(scenario, records)).decode("utf-8")
+    return b"".join(_csv_blocks(records.run)).decode("utf-8")
 
 
 def write_run_csv(result: RunResult, path) -> Path:
     """Write the run CSV of ``result`` to ``path`` one block of rows at a time."""
     path = Path(path)
     with path.open("wb") as f:
-        f.writelines(_csv_blocks(result.scenario, result.records))
+        f.writelines(_csv_blocks(result))
     return path
-
-
-@dataclass(frozen=True, eq=False)
-class ParsedRun:
-    """A run read back from its CSV; offsets converted back to seconds.
-
-    ``epochs`` is an int64 array.  ``true_offsets`` and ``corrections``
-    are ``(epochs,)`` float arrays; ``measured``, ``flags`` (bool) and
-    ``attacks`` are ``(epochs, paths)`` arrays.  All of them are
-    read-only.
-    """
-
-    name: str
-    method: str
-    seed: int
-    tau: float
-    window: int
-    n_paths: int
-    epochs: np.ndarray
-    true_offsets: np.ndarray
-    measured: np.ndarray
-    flags: np.ndarray
-    corrections: np.ndarray
-    attacks: np.ndarray
-
-    def __post_init__(self) -> None:
-        columns = (self.true_offsets, self.measured, self.flags, self.corrections, self.attacks)
-        for column in (self.epochs,) + columns:
-            column.flags.writeable = False
-
-    @property
-    def sync_errors(self) -> np.ndarray:
-        return self.true_offsets + self.corrections
-
-    @property
-    def warmup(self) -> int:
-        return min(self.window, len(self.epochs))
 
 
 _LOADTXT_ROW = re.compile(r"at row (\d+)")
@@ -1014,21 +1008,22 @@ def _count_lines(path: Path) -> int:
     return lines
 
 
-def parse_run_csv(path) -> ParsedRun:
-    """Read a file produced by :func:`write_run_csv` back into memory.
+def parse_run_csv(path) -> RunResult:
+    """Read a file produced by :func:`write_run_csv` back into a :class:`RunResult`.
 
-    The data rows are counted first and the columns allocated; then
-    ``np.loadtxt`` reads ``_BLOCK_EPOCHS`` rows at a time from the open
-    file, and each block is checked and stored in the columns, so neither
-    the file's text nor a table of all its cells is ever held whole.
-    Each row must have the header's cell count and every cell must be a
-    finite number (``np.loadtxt`` accepts ``nan`` and ``inf``, which the
-    writer never produces and which would silently poison the report's
-    statistics); an epoch cell must be an integer and a flag cell must
-    equal 0 or 1 (so ``1.0`` is accepted as a flag).  Empty lines are
-    skipped.  Raises :class:`ValueError` on malformed content (the
-    message includes the file name and the row, counted over the whole
-    file) and propagates I/O errors unchanged.
+    The run's ``scenario`` and ``log_odds`` are ``None``: the file
+    carries neither.  The data rows are counted first and the columns
+    allocated; then ``np.loadtxt`` reads ``_BLOCK_EPOCHS`` rows at a time
+    from the open file, and each block is checked and stored in the
+    columns, so neither the file's text nor a table of all its cells is
+    ever held whole.  Each row must have the header's cell count and
+    every cell must be a finite number (``np.loadtxt`` accepts ``nan``
+    and ``inf``, which the writer never produces and which would
+    silently poison the report's statistics); an epoch cell must be an
+    integer and a flag cell must equal 0 or 1 (so ``1.0`` is accepted as
+    a flag).  Empty lines are skipped.  Raises :class:`ValueError` on
+    malformed content (the message includes the file name and the row,
+    counted over the whole file) and propagates I/O errors unchanged.
     """
     path = Path(path)
 
@@ -1057,18 +1052,20 @@ def parse_run_csv(path) -> ParsedRun:
             fail("non-numeric preamble value")
         if n < 1:
             fail("n_paths must be positive")
-        expected = _csv_header(n)
+        expected, _, layout = _csv_layout(n)
         if not line:
             fail("missing header row")
         if line.rstrip("\n").split(",") != expected:
             fail("unexpected header row")
         n_rows = _count_lines(path) - header_lines
-        epochs = np.empty(n_rows, dtype=np.int64)
-        true_offsets = np.empty(n_rows)
-        measured = np.empty((n_rows, n))
-        flags = np.empty((n_rows, n), dtype=bool)
-        corrections = np.empty(n_rows)
-        attacks = np.empty((n_rows, n))
+        columns = {
+            name: np.empty(
+                (n_rows, n) if isinstance(cells, slice) else n_rows,
+                dtype={"epochs": np.int64, "flags": bool}.get(name, float),
+            )
+            for name, cells, _ in layout
+        }
+        at = {name: cells for name, cells, _ in layout}
         with warnings.catch_warnings():
             # given max_rows, loadtxt warns each time it skips an empty line, as it must here
             warnings.filterwarnings("ignore", "Input line .* contained no data", UserWarning)
@@ -1078,49 +1075,37 @@ def parse_run_csv(path) -> ParsedRun:
                 except ValueError as exc:
                     # loadtxt counts the rows of its block; the message names the file's
                     fail(_LOADTXT_ROW.sub(lambda m: f"at row {int(m[1]) + lo}", str(exc)))
-                cells = table.shape[1]
-                if cells != len(expected):
-                    fail(f"rows {lo}..{hi - 1} have {cells} cells, expected {len(expected)}")
+                n_cells = table.shape[1]
+                if n_cells != len(expected):
+                    fail(f"rows {lo}..{hi - 1} have {n_cells} cells, expected {len(expected)}")
                 if len(table) != hi - lo:
                     fail("the file changed while it was read")
                 finite = np.isfinite(table)
                 if not finite.all():
                     row, col = np.argwhere(~finite)[0]
                     fail(f"row {lo + row} has a non-finite {expected[col]} cell")
-                epoch_cells = table[:, 0]
+                epoch_cells = table[:, at["epochs"]]
                 # a double holds every integer up to 2**53 exactly
                 ok = (np.abs(epoch_cells) <= 2**53) & (epoch_cells == np.trunc(epoch_cells))
                 if not ok.all():
                     fail(f"row {lo + np.argmin(ok)} has an epoch that is not an integer")
-                flag_cells = table[:, 2 + n : 2 + 2 * n]
-                block_flags = np.equal(flag_cells, 1.0, out=flags[lo:hi])
+                flag_cells = table[:, at["flags"]]
+                block_flags = np.equal(flag_cells, 1.0, out=columns["flags"][lo:hi])
                 ok = block_flags | (flag_cells == 0.0)
                 if not ok.all():
                     fail(f"row {lo + np.argmin(ok.all(axis=1))} has a flag cell that is not 0/1")
-                epochs[lo:hi] = epoch_cells
-                np.divide(table[:, 1], _PS, out=true_offsets[lo:hi])
-                np.divide(table[:, 2 : 2 + n], _PS, out=measured[lo:hi])
-                np.divide(table[:, 2 + 2 * n], _PS, out=corrections[lo:hi])
-                np.divide(table[:, 3 + 2 * n :], _PS, out=attacks[lo:hi])
-    return ParsedRun(
-        name=meta["name"],
-        method=meta["method"],
-        seed=seed,
-        tau=tau,
-        window=window,
-        n_paths=n,
-        epochs=epochs,
-        true_offsets=true_offsets,
-        measured=measured,
-        flags=flags,
-        corrections=corrections,
-        attacks=attacks,
+                columns["epochs"][lo:hi] = epoch_cells
+                for name, cells, fmt in layout:
+                    if fmt == "%.3f":
+                        np.divide(table[:, cells], _PS, out=columns[name][lo:hi])
+    return RunResult(
+        name=meta["name"], method=meta["method"], seed=seed, tau=tau, window=window, **columns
     )
 
 
-def parsed_stats(parsed: ParsedRun) -> tuple:
-    """Recompute ``(counts, path_counts, tdev_curve)`` from a parsed CSV."""
-    return _run_stats(parsed.flags, parsed.attacks, parsed.sync_errors, parsed.warmup, parsed.tau)
+def parsed_stats(run: RunResult) -> tuple:
+    """``(counts, path_counts, tdev_curve)`` of a run, as computed when it was built."""
+    return run.counts, run.path_counts, run.tdev
 
 
 # ---------------------------------------------------------------------------
@@ -1130,18 +1115,12 @@ def parsed_stats(parsed: ParsedRun) -> tuple:
 SUMMARY_FACTORS = (1, 10, 100)
 
 
-def _format_summary(
-    header: dict,
-    counts: DetectionCounts,
-    path_counts: Sequence[DetectionCounts],
-    curve: TdevCurve | None,
-    post_errors: Sequence[float] | np.ndarray,
-    tau: float,
-) -> str:
+def _format_summary(run: RunResult) -> str:
+    warm = run.warmup
     out = io.StringIO()
     out.write(
-        "run {name}  method={method}  seed={seed}  paths={n_paths}  "
-        "epochs={n_epochs}  tau_s={tau:g}  warmup_epochs={warmup}\n\n".format(**header, tau=tau)
+        f"run {run.name}  method={run.method}  seed={run.seed}  paths={run.n_paths}  "
+        f"epochs={len(run.epochs)}  tau_s={run.tau:g}  warmup_epochs={warm}\n\n"
     )
     out.write("path  precision     recall  flagged  attacked\n")
 
@@ -1152,21 +1131,21 @@ def _format_summary(
             f"  {c.true_positives + c.false_negatives:8d}\n"
         )
 
-    for i, c in enumerate(path_counts):
+    for i, c in enumerate(run.path_counts):
         out.write(row(str(i + 1), c))
-    out.write(row("all", counts))
+    out.write(row("all", run.counts))
     out.write("\ntime deviation of the steered clock:\n")
-    if curve is None:
+    if run.tdev is None:
         out.write("  (run too short)\n")
     else:
         out.write("    tau_s    tdev_ps\n")
         for factor in SUMMARY_FACTORS:
             try:
-                dev = curve.at(factor * tau)
+                dev = run.tdev.at(factor * run.tau)
             except KeyError:
                 continue
-            out.write(f"  {factor * tau:7g}  {dev * _PS:9.3f}\n")
-    errors = np.asarray(post_errors, dtype=float)
+            out.write(f"  {factor * run.tau:7g}  {dev * _PS:9.3f}\n")
+    errors = run.sync_errors[warm:]
     if len(errors):
         # fsum is exactly rounded; it reads the squares as Python floats a block at a time
         squares = errors * errors
@@ -1181,39 +1160,13 @@ def _format_summary(
 
 
 def summarize_run(result: RunResult) -> str:
-    s = result.scenario
-    header = {
-        "name": s.name,
-        "method": s.method,
-        "seed": s.seed,
-        "n_paths": s.n_paths,
-        "n_epochs": s.n_epochs,
-        "warmup": s.warmup,
-    }
-    return _format_summary(
-        header,
-        result.counts,
-        result.path_counts,
-        result.tdev,
-        result.sync_errors[s.warmup :],
-        s.tau,
-    )
+    """Summary table of a simulated run."""
+    return _format_summary(result)
 
 
-def summarize_parsed(parsed: ParsedRun, stats: tuple | None = None) -> str:
-    """Summary table of a parsed CSV; pass ``stats`` when its :func:`parsed_stats` are at hand."""
-    counts, paths, curve = parsed_stats(parsed) if stats is None else stats
-    header = {
-        "name": parsed.name,
-        "method": parsed.method,
-        "seed": parsed.seed,
-        "n_paths": parsed.n_paths,
-        "n_epochs": len(parsed.epochs),
-        "warmup": parsed.warmup,
-    }
-    return _format_summary(
-        header, counts, paths, curve, parsed.sync_errors[parsed.warmup :], parsed.tau
-    )
+def summarize_parsed(run: RunResult) -> str:
+    """Summary table of a run read back by :func:`parse_run_csv`."""
+    return _format_summary(run)
 
 
 def plotdata_text(curve: TdevCurve | None) -> str:
@@ -1239,8 +1192,7 @@ def emit(result: RunResult, out_dir, formats: Sequence[str] = EMIT_FORMATS) -> l
         raise ValueError(f"unknown emit formats {bad}; expected ones of {EMIT_FORMATS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    s = result.scenario
-    stem = f"{s.name}_{s.method}_seed{s.seed}"
+    stem = f"{result.name}_{result.method}_seed{result.seed}"
     written = []
     for fmt in formats:
         if fmt == "csv":
@@ -1283,7 +1235,7 @@ def sweep(
                     if r.tdev is None:
                         continue
                     try:
-                        values.append(r.tdev.at(factor * r.scenario.tau))
+                        values.append(r.tdev.at(factor * r.tau))
                     except KeyError:
                         pass
                 devs[factor] = statistics.median(values) if values else None

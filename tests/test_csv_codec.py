@@ -21,6 +21,7 @@ zeros, subnormals and the values around the 2**53 limit included.
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -56,7 +57,7 @@ from timefuse.harness import (
     _CSV_PREAMBLE,
     _PS,
     _blocks,
-    _csv_header,
+    _csv_layout,
     _csv_rows,
     _row_kernel,
     parse_run_csv,
@@ -73,6 +74,11 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 #: from the in-memory curve by a fraction of that; 0.01 ps is 20 rounding
 #: steps and far below any real TDEV (tens of ps).
 TDEV_TOLERANCE_S = 1e-14
+
+
+def _csv_header(n: int) -> list:
+    """Column names of the run CSV for ``n`` paths."""
+    return _csv_layout(n)[0]
 
 
 def reference_parse(path) -> dict:
@@ -188,12 +194,33 @@ def assert_parsers_agree(path):
     return parsed
 
 
+@functools.cache
+def preset_run(name, method):
+    """The run of preset ``name`` under ``method`` at seed 1, shared by the tests below."""
+    return run_scenario(preset(name, method=method, seed=1))
+
+
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_parser_matches_the_row_parser_on_presets(name, method, tmp_path):
-    result = run_scenario(preset(name, method=method, seed=1))
+    result = preset_run(name, method)
     parsed = assert_parsers_agree(write_run_csv(result, tmp_path / "run.csv"))
     assert len(parsed.epochs) == result.scenario.n_epochs
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_parsed_run_is_the_simulated_run_and_writes_its_file_back(name, method, tmp_path):
+    result = preset_run(name, method)
+    path = write_run_csv(result, tmp_path / "run.csv")
+    parsed = parse_run_csv(path)
+    assert write_run_csv(parsed, tmp_path / "again.csv").read_bytes() == path.read_bytes()
+    for key in ("epochs", "flags", "attacks"):
+        assert np.array_equal(getattr(parsed, key), getattr(result, key)), key
+    assert parsed.epochs.dtype == result.epochs.dtype == np.int64
+    assert parsed.counts == result.counts
+    assert parsed.path_counts == result.path_counts
+    assert parsed.scenario is None and parsed.log_odds is None
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +356,7 @@ def test_header_only_csv_parses_to_an_empty_run(good_lines, tmp_path, capsys):
         warnings.simplefilter("error")
         parsed = parse_run_csv(path)
         stats = parsed_stats(parsed)
-        summary = summarize_parsed(parsed, stats)
+        summary = summarize_parsed(parsed)
     assert parsed.epochs.shape == (0,)
     assert parsed.flags.shape == parsed.measured.shape == (0, 3)
     assert parsed.warmup == 0
@@ -453,12 +480,9 @@ def test_attacks_that_print_as_zero_keep_their_sign(magnitude):
 
 def test_negative_zero_attack_cells_are_written_with_their_sign(edge_run):
     scenario, result = edge_run
-    records = list(result.records)
-    for epoch in (3, 17):
-        rec = records[epoch]
-        observations = tuple(replace(o, attack_truth=-0.0) for o in rec.observations)
-        records[epoch] = replace(rec, observations=observations)
-    text = assert_writers_agree(scenario, records)
+    attacks = result.attacks.copy()
+    attacks[[3, 17]] = -0.0
+    text = assert_writers_agree(scenario, replace(result, attacks=attacks).records)
     assert text.count(",-0.000") == 2 * scenario.n_paths
 
 
@@ -506,9 +530,10 @@ def test_a_run_across_row_blocks_is_written():
     assert_writers_agree(scenario, result.records)
 
 
-def test_header_only_text_matches(edge_run):
+def test_header_only_text_matches(edge_run, good_lines, tmp_path):
     scenario, _ = edge_run
-    assert assert_writers_agree(scenario, ()).count("\n") == FIRST_ROW
+    empty = parse_run_csv(write_lines(tmp_path / "empty.csv", good_lines[:FIRST_ROW]))
+    assert assert_writers_agree(scenario, empty.records).count("\n") == FIRST_ROW
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +630,10 @@ def test_a_block_the_kernel_declines_is_written_through_the_row_template():
     assert attacked.tolist() == [_BLOCK_EPOCHS + 100]
     text = assert_writers_agree(scenario, result.records)
     assert text.splitlines()[FIRST_ROW + attacked[0]].split(",")[-2] == "100000000000000.000"
-    columns = (range(len(result.flags)), result.true_offsets, result.measured, result.flags,
-               result.corrections, result.attacks)
     kernel = _row_kernel(scenario.n_paths)
+    layout = _csv_layout(scenario.n_paths)
     for lo, hi in _blocks(scenario.n_epochs):
-        pieces = _csv_rows(kernel, scenario.n_paths, columns, lo, hi)
+        pieces = _csv_rows(kernel, layout, result, lo, hi)
         assert len(pieces) == (1 if lo <= attacked[0] < hi else -(-(hi - lo) // kernel.chunk_rows))
 
 

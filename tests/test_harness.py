@@ -579,8 +579,11 @@ class TestCsvRoundTrip:
         for recovered, original in zip(parsed.sync_errors, mini_result.sync_errors):
             assert recovered == pytest.approx(original, abs=2e-15)
 
-    def test_header_only_output_for_empty_records(self, mini):
-        text = run_csv_text(mini, ())
+    def test_header_only_output_for_empty_records(self, mini, mini_result, tmp_path):
+        written = write_run_csv(mini_result, tmp_path / "run.csv").read_text().splitlines()
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n".join(written[:7]) + "\n")
+        text = run_csv_text(mini, parse_run_csv(empty).records)
         lines = text.splitlines()
         assert lines[0] == "# name=mini"
         assert lines[-1].startswith("epoch,true_theta_ps,")
