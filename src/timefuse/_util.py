@@ -6,6 +6,9 @@ import math
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
 _STD_NORMAL = NormalDist()
 
 
@@ -66,6 +69,27 @@ def slope_on_axis(axis: tuple, xs: Sequence[float]) -> float:
     sxy = 0.0
     for dt, x in zip(dts, xs):
         sxy += dt * (x - x_mean)
+    return sxy / sxx
+
+
+def slopes_on_axis(axis: tuple, xs: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Item ``k`` is ``slope_on_axis(axis, xs[s : s + W])`` for ``s = starts[k]``, bit for bit.
+
+    ``xs`` is a 1-D series and each window holds the ``W = len(dts)``
+    values from a start on.  These are the same IEEE operations in the
+    same order: each window's ``fsum`` mean, then the left fold of
+    ``dt * (x - mean)`` from ``0.0`` as W column additions, then the
+    division by ``sxx``.  ``np.add.reduce`` would add the terms pairwise.
+    """
+    dts, sxx = axis
+    w = len(dts)
+    windows = sliding_window_view(xs, w)[starts]
+    points = xs.tolist()
+    means = np.array([math.fsum(points[s : s + w]) for s in starts.tolist()]) / w
+    terms = (windows - means[:, None]) * np.array(dts)
+    sxy = np.zeros(len(windows))
+    for column in terms.T:
+        sxy += column
     return sxy / sxx
 
 

@@ -30,12 +30,12 @@ from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from ._csvrows import RowKernel
-from ._util import centred_axis, left_sum, logistic, slope_on_axis
+from ._util import centred_axis, left_sum, logistic, slope_on_axis, slopes_on_axis
 from .baselines import fta_update, single_residual_sigma
 from .clocksim import (
     EventSchedule,
@@ -565,8 +565,11 @@ class RunResult:
     ``flags`` and ``attacks`` are read-only ``(epochs, paths)`` arrays of
     the reported offsets, the detector flags and the injected attack
     bias.  ``log_odds`` holds the fused log-odds of every cell of a
-    simulated DS run, and ``scenario`` the scenario of a simulated run;
-    both are ``None`` otherwise, since the CSV carries neither.
+    simulated DS run and ``drift_taus`` the ``(epochs,)`` drift * tau that
+    each of its epochs fed the evidence kernel, so that
+    ``LogOddsKernel(calibrations, method)(measured, drift_taus)`` is
+    ``log_odds``; ``scenario`` is the scenario of a simulated run.  All
+    three are ``None`` otherwise, since the CSV carries none of them.
 
     ``sync_errors``, ``counts``, ``path_counts`` and ``tdev`` are
     computed from the columns when the run is built.  ``tdev`` is the
@@ -586,6 +589,7 @@ class RunResult:
     flags: np.ndarray
     attacks: np.ndarray
     log_odds: np.ndarray | None = None
+    drift_taus: np.ndarray | None = None
     scenario: Scenario | None = None
     sync_errors: np.ndarray = field(init=False)
     counts: DetectionCounts = field(init=False)
@@ -595,6 +599,7 @@ class RunResult:
     def __post_init__(self) -> None:
         shape = self.measured.shape
         epoch_columns = [self.epochs, self.true_offsets, self.corrections]
+        epoch_columns += [] if self.drift_taus is None else [self.drift_taus]
         cells = [self.measured, self.flags, self.attacks]
         cells += [] if self.log_odds is None else [self.log_odds]
         if any(c.shape != shape[:1] for c in epoch_columns) or any(c.shape != shape for c in cells):
@@ -672,6 +677,209 @@ class EpochRecords(SequenceABC):
         )
 
 
+class _DsState(NamedTuple):
+    """The DS loop's state between two epochs."""
+
+    offset: float  # the true clock offset
+    drift: float  # the true clock drift
+    correction: float  # the last epoch's correction
+    cum_correction: float  # every correction so far, added left to right
+    z_history: deque  # the last ``window`` steered offsets, for the frequency fit
+    quarantine_left: list  # per path, the epochs it stays out of the steering mean
+    clean: bool  # the last epoch flagged no path, and no path is in quarantine
+
+
+class _DsRun(NamedTuple):
+    """What the blocks of one DS run share: its kernel, settings, schedule and output columns."""
+
+    kernel: LogOddsKernel
+    tau: float
+    window: int
+    time_axis: list  # the times of a window, from 0.0
+    full_axis: tuple  # centred_axis(time_axis) of a full window, or None
+    quarantine: int
+    schedule: EventSchedule
+    true_offsets: np.ndarray
+    corrections: np.ndarray
+    measured: np.ndarray
+    drift_taus: np.ndarray
+    log_odds: np.ndarray
+
+
+def _ds_epochs(run: _DsRun, state: _DsState, rows):
+    """Run DS epochs from ``state``: ``(state, offsets, corrections, drift_taus, calm, error)``.
+
+    A row holds one epoch's clock increments, jump, link and measurement
+    noise, attacks, and whether it may be calm.  An epoch that may be calm
+    and follows a clean one is *calm*: it keeps every report, as a
+    flag-free epoch with no path in quarantine does, so it needs neither
+    the frequency fit nor the quiet test.  Its drift * tau is left at
+    ``0.0`` and its index goes into ``calm``, for the caller to fit and
+    check.  Any other epoch takes the exact path.  An arithmetic or value
+    error stops the loop and is returned, with the lists of the epochs
+    before it.
+    """
+    kernel, tau, window, quarantine = run.kernel, run.tau, run.window, run.quarantine
+    time_axis, full_axis = run.time_axis, run.full_axis
+    n = kernel.n
+    offset, drift, correction, cum_correction, z_history, quarantine_left, clean = state
+    z_history = deque(z_history, maxlen=window)  # the caller may restart from ``state``
+    # stand in for the unknown row sums of a quiet (all <= 0) or loud (all > 0) epoch
+    quiet_sums = [0.0] * n
+    loud_sums = [1.0] * n
+    offsets, corrections, drift_taus, calm = [], [], [], []
+    error = None
+    try:
+        for i, (w_o, w_d, jump, link_row, meas_row, attack_row, may_be_calm) in enumerate(rows):
+            offset = offset + correction + drift * tau + w_o + jump
+            drift = drift + w_d
+            if clean and may_be_calm:
+                # the reports' left_sum, as the exact path adds them when it keeps all
+                total = 0.0
+                for w, v, a in zip(link_row, meas_row, attack_row):
+                    total += offset + w + v + a
+                correction = -total / n
+                drift_tau = 0.0
+                calm.append(i)
+            else:
+                # the noise and attack terms are finite, so x is never partly NaN,
+                # which is_quiet needs: a NaN offset makes every report NaN, and an
+                # overflow makes a report infinite
+                x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
+                points = len(z_history)
+                if points == window:
+                    drift_est = slope_on_axis(full_axis, z_history)
+                elif points >= 2:
+                    drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
+                else:
+                    drift_est = 0.0
+                drift_tau = drift_est * tau
+                if kernel.is_quiet(x, drift_tau):
+                    sums = quiet_sums
+                    clean = True
+                elif kernel.is_loud(x, drift_tau):
+                    sums = loud_sums
+                    clean = False
+                else:
+                    sums = kernel.epoch_sums(x, drift_tau)
+                    clean = max(sums) <= 0.0
+                if sums is quiet_sums and not any(quarantine_left):
+                    kept = x  # what the filter below keeps on a quiet epoch
+                else:
+                    kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
+                correction = -left_sum(kept) / len(kept) if kept else -drift_tau
+                if quarantine:
+                    quarantine_left = [
+                        quarantine if s > 0.0 else max(q - 1, 0)
+                        for s, q in zip(sums, quarantine_left)
+                    ]
+                    clean = clean and not any(quarantine_left)
+            z_history.append(-correction - cum_correction)
+            cum_correction += correction
+            offsets.append(offset)
+            corrections.append(correction)
+            drift_taus.append(drift_tau)
+    except (ArithmeticError, ValueError) as exc:  # the caller decides whether a calm epoch led here
+        error = exc
+    state = _DsState(offset, drift, correction, cum_correction, z_history, quarantine_left, clean)
+    return state, offsets, corrections, drift_taus, calm, error
+
+
+def _steered_offsets(state: _DsState, corrections: list) -> tuple:
+    """``(zs, cums)`` of the epochs after ``state`` with ``corrections``, as the loop forms them.
+
+    ``zs`` is the state's window of steered offsets followed by one per
+    epoch, ``-correction - cum_correction``; ``cums[j]`` is the sum of the
+    corrections before epoch ``j``.  ``np.add.accumulate`` adds left to
+    right, from the state's sum, as the loop does.
+    """
+    c = np.array(corrections, dtype=float)
+    cums = np.add.accumulate(np.concatenate(([state.cum_correction], c)))
+    return np.concatenate((np.array(state.z_history, dtype=float), -c - cums[:-1])), cums
+
+
+def _ds_block(run: _DsRun, state: _DsState, lo: int, columns: list, link, meas) -> _DsState:
+    """Run the DS epochs of the block from ``lo`` and fill their columns; return the state after.
+
+    ``columns`` holds the block's clock increments, jumps, link and
+    measurement noise and attacks as lists, in the order of a row of
+    :func:`_ds_epochs`; ``link`` and ``meas`` are the block's noise arrays.
+    """
+    hi = lo + len(link)
+    window = run.window
+    attacks = run.schedule.attacks
+    measured, drift_taus, log_odds = run.measured, run.drift_taus, run.log_odds
+    may_be_calm = (
+        (np.arange(lo, hi) >= window)
+        & (run.schedule.jumps[lo:hi] == 0.0)
+        & ~attacks[lo:hi].any(axis=1)
+    ).tolist()
+    start = filled = lo  # the pass starts at `start`; rows before `filled` are final
+    while True:
+        rows = zip(*(c[start - lo :] for c in columns), may_be_calm[start - lo :])
+        before = state
+        state, offsets, pass_corrections, pass_drift_taus, calm, error = _ds_epochs(
+            run, before, rows
+        )
+        stop = start + len(offsets)
+        run.true_offsets[start:stop] = offsets
+        run.corrections[start:stop] = pass_corrections
+        drift_taus[start:stop] = pass_drift_taus
+        calm_rows = np.array(calm, dtype=np.int64)
+        if calm:
+            zs, cums = _steered_offsets(before, pass_corrections)
+        if error is None:
+            try:
+                if calm:
+                    # calm epoch i fits the window of the `window` steered offsets before it
+                    starts = calm_rows + (len(before.z_history) - window)
+                    fits = slopes_on_axis(run.full_axis, zs, starts)
+                    drift_taus[start + calm_rows] = fits * run.tau
+                _fill_reports(
+                    measured[filled:hi],
+                    run.true_offsets[filled:hi],
+                    link[filled - lo :],
+                    meas[filled - lo :],
+                    attacks[filled:hi],
+                )
+                log_odds[filled:hi] = run.kernel(measured[filled:hi], drift_taus[filled:hi])
+            except (ArithmeticError, ValueError) as exc:
+                error = exc
+        if error is not None:
+            if not calm:
+                raise error
+            k = calm[0]  # the epochs before it took the exact path
+        else:
+            flagged = (log_odds[start + calm_rows] > 0.0).any(axis=1)
+            if not flagged.any():
+                return state
+            k = calm[int(flagged.argmax())]
+            filled = start + k
+        # run again on the exact path from calm epoch start + k, with the state
+        # the exact path had there: no path in quarantine, and the epoch before clean
+        drift = before.drift
+        for w_d in columns[1][start - lo : start - lo + k]:
+            drift = drift + w_d
+        state = _DsState(
+            offsets[k - 1] if k else before.offset,
+            drift,
+            pass_corrections[k - 1] if k else before.correction,
+            cums[k].item(),
+            deque(zs[: len(before.z_history) + k].tolist(), maxlen=window),
+            [0] * run.kernel.n,
+            True,
+        )
+        start += k
+        may_be_calm = [False] * (hi - lo)
+
+
+def _fill_reports(out, true_offsets, link, meas, attacks) -> None:
+    """Every path's report, added in place in the epoch loop's order of additions."""
+    np.add(true_offsets[:, None], link, out=out)
+    out += meas
+    out += attacks
+
+
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute the epoch loop for ``scenario``; deterministic in (scenario, seed).
 
@@ -690,12 +898,24 @@ def run_scenario(scenario: Scenario) -> RunResult:
     right in path order (:func:`~timefuse._util.left_sum`); ``np.sum``
     would reorder the additions.
 
-    A DS epoch that :meth:`~timefuse.fusion.LogOddsKernel.is_quiet` proves
-    flag-free, or :meth:`~timefuse.fusion.LogOddsKernel.is_loud` proves
-    all-flagged, skips the evidence kernel.  The reports of each block,
-    and after the loop the fused log-odds of every epoch, are computed
-    from the true offsets and the drift * tau of each epoch, with the
-    additions the loop made.
+    A DS epoch is *calm* when it is past the warm-up window, has no
+    attack on any path and no clock jump, no path is in quarantine and
+    the epoch before flagged no path.  A calm epoch is steered by the
+    mean of all its reports, with no frequency fit and no quiet test
+    (:func:`_ds_epochs`).  Every other DS epoch that
+    :meth:`~timefuse.fusion.LogOddsKernel.is_quiet` proves flag-free, or
+    :meth:`~timefuse.fusion.LogOddsKernel.is_loud` proves all-flagged,
+    skips the evidence kernel.  After each block, one vectorised pass
+    fits the calm epochs' drift * tau exactly
+    (:func:`~timefuse._util.slopes_on_axis`), builds the block's reports
+    and runs the kernel over the block for its fused log-odds.  The block
+    stands if no calm epoch has a positive log-odds: the exact path keeps
+    every report of such an epoch too.  Otherwise the rest of the block
+    runs again on the exact path from the first calm epoch that has one,
+    with the exact path's state there (:func:`_ds_block`).  After an
+    error, which a non-finite report or drift * tau raises in the kernel,
+    it runs again from the block's first calm epoch.  So the flags,
+    corrections, log-odds and errors are those of the exact path.
 
     The Single detector is :func:`~timefuse.baselines.single_update`
     inlined.  With ``tau == 1.0`` a full window of consecutive epochs
@@ -727,110 +947,85 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     true_column = np.empty(n_epochs)
     corrections = np.empty(n_epochs)
-    drift_taus = np.empty(n_epochs) if kernel is not None else None
     measured = np.empty((n_epochs, n))
     flags = np.zeros((n_epochs, n), dtype=bool)
+    if kernel is not None:
+        drift_taus = np.empty(n_epochs)
+        log_odds = np.empty((n_epochs, n))
+        ds = _DsRun(
+            kernel,
+            tau,
+            window,
+            time_axis,
+            full_axis,
+            scenario.quarantine,
+            schedule,
+            true_column,
+            corrections,
+            measured,
+            drift_taus,
+            log_odds,
+        )
+        state = _DsState(0.0, 0.0, 0.0, 0.0, deque(), [0] * n, True)
+    else:
+        drift_taus = log_odds = None
+
     offset = drift = drift_est = correction = cum_correction = 0.0
-    z_history: deque = deque(maxlen=window)
+    z_history: deque = deque(maxlen=window)  # Single: the accepted accumulated offsets
     times: deque = deque(maxlen=window)  # Single: the time of each point in z_history
-    quarantine_left = [0] * n
-    # stand in for the unknown row sums of a quiet (all <= 0) or loud (all > 0) epoch
-    quiet_sums = [0.0] * n
-    loud_sums = [1.0] * n
     # the kernel rejects a non-finite epoch; numpy's warnings on the way would come first
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in _blocks(n_epochs):
             clock_noise, link, meas = draw_noise(noise, rngs, hi - lo)
             w_offset, w_drift = clock_noise.T.tolist()
-            block_offsets, block_corrections, block_drift_taus, block_flags = [], [], [], []
-            rows = zip(
+            columns = [
                 w_offset,
                 w_drift,
                 schedule.jumps[lo:hi].tolist(),
                 link.tolist(),
                 meas.tolist(),
                 attacks[lo:hi].tolist(),
-            )
-            for epoch, (w_o, w_d, jump, link_row, meas_row, attack_row) in enumerate(rows, lo):
-                offset = offset + correction + drift * tau + w_o + jump
-                drift = drift + w_d
-                # the noise and attack terms are finite, so x is never partly NaN,
-                # which is_quiet needs: a NaN offset makes every report NaN, and an
-                # overflow makes a report infinite
-                x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
-
-                if kernel is not None:
-                    points = len(z_history)
-                    if points == window:
-                        drift_est = slope_on_axis(full_axis, z_history)
-                    elif points >= 2:
-                        drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
+            ]
+            if kernel is not None:
+                state = _ds_block(ds, state, lo, columns, link, meas)
+                offset, correction = state.offset, state.correction
+                np.greater(log_odds[lo:hi], 0.0, out=flags[lo:hi])
+            else:
+                block_offsets, block_corrections, block_flags = [], [], []
+                rows = zip(*columns)
+                for epoch, (w_o, w_d, jump, link_row, meas_row, attack_row) in enumerate(rows, lo):
+                    offset = offset + correction + drift * tau + w_o + jump
+                    drift = drift + w_d
+                    x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
+                    if method == "FTA":
+                        correction = fta_update(x)
                     else:
-                        drift_est = 0.0
-                    drift_tau = drift_est * tau
-                    if kernel.is_quiet(x, drift_tau):
-                        sums = quiet_sums
-                    elif kernel.is_loud(x, drift_tau):
-                        sums = loud_sums
-                    else:
-                        sums = kernel.epoch_sums(x, drift_tau)
-                    if sums is quiet_sums and not any(quarantine_left):
-                        kept = x  # what the filter below keeps on a quiet epoch
-                    else:
-                        kept = [
-                            o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q
-                        ]
-                    correction = -left_sum(kept) / len(kept) if kept else -drift_tau
-                    if scenario.quarantine:
-                        quarantine_left = [
-                            scenario.quarantine if s > 0.0 else max(q - 1, 0)
-                            for s, q in zip(sums, quarantine_left)
-                        ]
-                    z_history.append(-correction - cum_correction)
-                    cum_correction += correction
-                    block_drift_taus.append(drift_tau)
-                elif method == "FTA":
-                    correction = fta_update(x)
-                else:
-                    prediction = drift_est * tau
-                    flagged = abs(x[0] - prediction) > threshold
-                    if flagged:
-                        correction = -prediction
-                    else:
-                        correction = -x[0]
-                        times.append(epoch * tau)
-                        z_history.append(x[0] - cum_correction)
-                        k = len(times)
-                        gap_free = times[-1] - times[0] == k - 1
-                        if single_axis is not None and k == window and gap_free:
-                            drift_est = slope_on_axis(single_axis, z_history)
-                        elif k >= 2:
-                            drift_est = slope_on_axis(centred_axis(times), z_history)
-                    cum_correction += correction
-                    block_flags.append(flagged)
-
-                block_offsets.append(offset)
-                block_corrections.append(correction)
-
+                        prediction = drift_est * tau
+                        flagged = abs(x[0] - prediction) > threshold
+                        if flagged:
+                            correction = -prediction
+                        else:
+                            correction = -x[0]
+                            times.append(epoch * tau)
+                            z_history.append(x[0] - cum_correction)
+                            k = len(times)
+                            gap_free = times[-1] - times[0] == k - 1
+                            if single_axis is not None and k == window and gap_free:
+                                drift_est = slope_on_axis(single_axis, z_history)
+                            elif k >= 2:
+                                drift_est = slope_on_axis(centred_axis(times), z_history)
+                        cum_correction += correction
+                        block_flags.append(flagged)
+                    block_offsets.append(offset)
+                    block_corrections.append(correction)
+                true_column[lo:hi] = block_offsets
+                corrections[lo:hi] = block_corrections
+                if block_flags:
+                    flags[lo:hi, 0] = block_flags
+                _fill_reports(measured[lo:hi], true_column[lo:hi], link, meas, attacks[lo:hi])
             # a non-finite offset or correction stays non-finite in every later epoch
             if not (math.isfinite(offset) and math.isfinite(correction)):
                 raise ValueError("clock state must be finite")
-            true_column[lo:hi] = block_offsets
-            corrections[lo:hi] = block_corrections
-            if kernel is not None:
-                drift_taus[lo:hi] = block_drift_taus
-            elif block_flags:
-                flags[lo:hi, 0] = block_flags
-            # added to in place in the loop's order of additions
-            block = measured[lo:hi]
-            np.add(true_column[lo:hi, None], link, out=block)
-            block += meas
-            block += attacks[lo:hi]
-    if kernel is not None:
-        log_odds = kernel(measured, drift_taus)
-        np.greater(log_odds, 0.0, out=flags)
-    else:
-        log_odds = None
     return RunResult(
         name=scenario.name,
         method=method,
@@ -844,6 +1039,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         flags=flags,
         attacks=attacks,
         log_odds=log_odds,
+        drift_taus=drift_taus,
         scenario=scenario,
     )
 
@@ -1052,6 +1248,12 @@ def parse_run_csv(path) -> RunResult:
             fail("non-numeric preamble value")
         if n < 1:
             fail("n_paths must be positive")
+        if seed < 0:
+            fail("seed must be non-negative")
+        if window < 2:
+            fail("window_epochs must be at least 2")
+        if not (math.isfinite(tau) and tau > 0.0):
+            fail("tau_s must be positive and finite")
         expected, _, layout = _csv_layout(n)
         if not line:
             fail("missing header row")

@@ -251,6 +251,33 @@ class TestReport:
         assert code == 2
         assert "bad.csv" in err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "# window_epochs=0",
+            "# window_epochs=1",
+            "# window_epochs=-5",
+            "# tau_s=nan",
+            "# tau_s=0",
+            "# tau_s=-1",
+            "# tau_s=inf",
+            "# seed=-1",
+        ],
+    )
+    def test_report_rejects_a_preamble_value_no_scenario_allows(self, line, capsys, tmp_path):
+        scn = tmp_path / "s.json"
+        scn.write_text(json.dumps({"name": "s", "n_paths": 3, "n_epochs": 80}))
+        run_cli(["run", str(scn), "--out", str(tmp_path), "--format", "csv"], capsys)
+        key = line.partition("=")[0]
+        rows = (tmp_path / "s_DS2_seed1.csv").read_text().splitlines(keepends=True)
+        assert sum(row.startswith(key + "=") for row in rows) == 1
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line + "\n" if row.startswith(key + "=") else row for row in rows))
+        code, out, err = run_cli(["report", str(bad)], capsys)
+        assert code == 2
+        assert "bad.csv" in err and key[2:] in err
+        assert out == ""
+
 
 class TestSweep:
     def test_small_sweep_prints_a_table(self, capsys):

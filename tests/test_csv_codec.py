@@ -220,7 +220,8 @@ def test_a_parsed_run_is_the_simulated_run_and_writes_its_file_back(name, method
     assert parsed.epochs.dtype == result.epochs.dtype == np.int64
     assert parsed.counts == result.counts
     assert parsed.path_counts == result.path_counts
-    assert parsed.scenario is None and parsed.log_odds is None
+    assert parsed.scenario is None and parsed.log_odds is None and parsed.drift_taus is None
+    assert (result.drift_taus is None) == (result.log_odds is None)
 
 
 @pytest.fixture(scope="module")

@@ -39,17 +39,19 @@ from timefuse import (
     step_clock,
     tdev_curve,
 )
-from timefuse._util import centred_axis
+from timefuse import harness
+from timefuse._util import centred_axis, slope_on_axis, slopes_on_axis
 from timefuse.clocksim import ClockState
-from timefuse.fusion import fused_log_odds
+from timefuse.fusion import LogOddsKernel, fused_log_odds
 from timefuse.harness import _BLOCK_EPOCHS
 
 
 def reference_run(scenario):
-    """``(records, sync_errors, log_odds)`` of ``scenario``, one object per path and epoch.
+    """``(records, sync_errors, log_odds, drift_taus)`` of ``scenario``, objects per path and epoch.
 
-    ``log_odds`` holds each epoch's :func:`fused_log_odds` for the DS
-    methods and is ``None`` for the others.
+    ``log_odds`` holds each epoch's :func:`fused_log_odds` and
+    ``drift_taus`` each epoch's ``freq.drift * tau`` for the DS methods;
+    both are ``None`` for the others.
     """
     noise = scenario.noise()
     schedule = scenario.schedule()
@@ -72,6 +74,7 @@ def reference_run(scenario):
     records = []
     sync_errors = []
     log_odds = [] if calibs is not None else None
+    drift_taus = [] if calibs is not None else None
     for epoch in range(scenario.n_epochs):
         state = step_clock(state, correction, noise, rngs.clock, jump=jumps[epoch])
         observations = tuple(
@@ -81,6 +84,7 @@ def reference_run(scenario):
         if calibs is not None:
             freq = estimate_frequency(z_history, tau, scenario.window)
             log_odds.append(fused_log_odds(offsets, calibs, freq.drift, tau, method))
+            drift_taus.append(freq.drift * tau)
             verdicts = tuple(classify_paths(offsets, calibs, freq.drift, tau, method, epoch))
             quarantined = [i for i in range(n) if quarantine_left[i] > 0]
             correction = compute_update(offsets, verdicts, freq.drift, tau, quarantined)
@@ -103,7 +107,7 @@ def reference_run(scenario):
         records.append(
             EpochRecord(epoch, state.offset, observations, verdicts, correction, method)
         )
-    return records, sync_errors, log_odds
+    return records, sync_errors, log_odds, drift_taus
 
 
 def reference_counts(records, start_epoch):
@@ -154,9 +158,10 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def assert_engines_agree(scenario):
+def assert_engines_agree(scenario, reference=None):
+    """``run_scenario`` against ``reference``, by default ``reference_run(scenario)``."""
     try:
-        records, sync_errors, log_odds = reference_run(scenario)
+        records, sync_errors, log_odds, drift_taus = reference or reference_run(scenario)
     except ValueError as exc:  # a scenario both engines must refuse alike
         with pytest.raises(type(exc)) as refused:
             run_scenario(scenario)
@@ -172,8 +177,12 @@ def assert_engines_agree(scenario):
     assert same_bits(result.sync_errors, sync_errors)
     if log_odds is None:
         assert result.log_odds is None
+        assert result.drift_taus is None
     else:
         assert same_bits(result.log_odds, log_odds)
+        assert same_bits(result.drift_taus, drift_taus)
+        kernel = LogOddsKernel(scenario.calibrations(), scenario.method)
+        assert same_bits(kernel(result.measured, result.drift_taus), result.log_odds)
     warm = scenario.warmup
     path_counts = reference_counts(records, warm)
     assert result.path_counts == path_counts
@@ -310,6 +319,32 @@ def test_a_window_of_consecutive_epochs_has_the_fixed_axis(e0, k):
     assert same_bits(sxx, fixed_sxx)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 64),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.sampled_from(["mixed", "ramp", "zeros"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_the_vectorised_window_fit_is_slope_on_axis(w, tau, kind, seed, data):
+    # the engine fits a block's calm epochs at once; each must get the loop's slope
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(w, w + 40), label="points")
+    if kind == "mixed":  # magnitudes from 1e-15 to 1e2 side by side
+        xs = rng.normal(size=k) * 10.0 ** rng.integers(-15, 3, size=k)
+    elif kind == "ramp":  # a steered clock's accumulated offsets
+        xs = np.cumsum(rng.normal(size=k) * 1e-11) + np.arange(k) * 1e-9
+    else:
+        xs = np.zeros(k)
+    signed_zeros = rng.random(k) < 0.2
+    xs[signed_zeros] = np.where(rng.random(k) < 0.5, 0.0, -0.0)[signed_zeros]
+    starts = np.array(data.draw(st.lists(st.integers(0, k - w), max_size=20), label="starts"))
+    axis = centred_axis([j * tau for j in range(w)])
+    expected = [slope_on_axis(axis, xs[s : s + w].tolist()) for s in starts.tolist()]
+    assert same_bits(slopes_on_axis(axis, xs, starts.astype(np.intp)), expected)
+
+
 def test_single_windows_with_and_without_gaps_cross_row_blocks():
     # path 0, the one Single watches, is attacked every 50 s, and every
     # attacked epoch leaves a gap in the next 30 windows
@@ -348,3 +383,105 @@ def test_single_refits_a_window_of_every_other_epoch_at_tau_one_half():
     )
     assert run_scenario(scenario).flags[:, 0].tolist() == [e % 2 == 1 for e in range(300)]
     assert_engines_agree(scenario)
+
+
+def misprediction_scenario(method, quarantine, fatal=False):
+    """A 3-path DS run of two blocks and more whose calm epochs are often flagged.
+
+    Its detectors are designed for the default 1 ps/s frequency walk and a
+    5 % false-alarm rate; at 20 ps/s the drift estimate lags, so epochs
+    with no attack and a clean epoch before them are flagged now and then.
+    Path 2 is attacked from three epochs before each block edge to two
+    after it.  ``fatal`` adds opposite attacks near the float range on
+    paths 1 and 3, late in the last block, which no engine can fuse.
+    """
+    b = _BLOCK_EPOCHS
+    attacks = (PeriodicAttackRule((1,), float(b), float(b - 3), 10e-9, duration_epochs=6),)
+    if fatal:
+        attacks += (
+            PeriodicAttackRule((0,), 1e6, float(2 * b + 200), 1.7e308),
+            PeriodicAttackRule((2,), 1e6, float(2 * b + 200), -1.7e308),
+        )
+    return Scenario(
+        name="mispredicted",
+        n_paths=3,
+        n_epochs=2 * b + 300,
+        method=method,
+        seed=1,
+        sigma_drift=20e-12,
+        p_false_alarm=0.05,
+        quarantine=quarantine,
+        attack_rules=attacks,
+    )
+
+
+def flagged_calm_blocks(scenario, records) -> set:
+    """Blocks of the run in ``records`` holding a flagged epoch that the engine steers as calm.
+
+    An epoch is calm past the warm-up window when no path is attacked, the
+    clock does not jump, and no path was flagged in the epoch before or in
+    the ``quarantine`` epochs before.
+    """
+    jumps = scenario.schedule().jumps
+    flagged = [any(v.flagged for v in r.verdicts) for r in records]
+    back = max(scenario.quarantine, 1)
+    return {
+        r.epoch // _BLOCK_EPOCHS
+        for r in records[scenario.window :]
+        if flagged[r.epoch]
+        and not any(o.attack_truth for o in r.observations)
+        and jumps[r.epoch] == 0.0
+        and not any(flagged[max(r.epoch - back, 0) : r.epoch])
+    }
+
+
+@pytest.mark.parametrize("quarantine", [0, 2])
+@pytest.mark.parametrize("method", ["DS2", "DS0"])
+def test_blocks_with_flagged_calm_epochs_rerun_on_the_exact_path(method, quarantine):
+    scenario = misprediction_scenario(method, quarantine)
+    reference = reference_run(scenario)
+    assert len(flagged_calm_blocks(scenario, reference[0])) >= 2
+    assert_engines_agree(scenario, reference)
+    # an error late in a block with calm and mispredicted epochs before it
+    fatal = misprediction_scenario(method, quarantine, fatal=True)
+    with pytest.raises(ValueError, match="residuals must be finite"):
+        reference_run(fatal)
+    assert_engines_agree(fatal)
+
+
+@pytest.mark.parametrize("failure", ["fit", "loop"])
+def test_a_block_that_fails_after_calm_epochs_reruns_on_the_exact_path(failure, monkeypatch):
+    # the block runs again from its first calm epoch, on the exact path only
+    scenario = misprediction_scenario("DS2", 2)
+    is_quiet = LogOddsKernel.is_quiet
+    calls = []
+
+    def counted(self, x, drift_tau):
+        calls.append(None)
+        return is_quiet(self, x, drift_tau)
+
+    monkeypatch.setattr(LogOddsKernel, "is_quiet", counted)
+    expected = run_scenario(scenario)
+    clean_calls = len(calls)
+    calls.clear()
+    if failure == "fit":
+
+        def fit(*args):
+            raise OverflowError("intermediate overflow in fsum")
+
+        monkeypatch.setattr(harness, "slopes_on_axis", fit)
+    else:
+        # the second exact epoch past the warm-up window, which follows calm
+        # epochs, raises the first time it is run
+
+        def flaky(self, x, drift_tau):
+            calls.append(None)
+            if len(calls) == scenario.window + 2:
+                raise ValueError("residuals must be finite")
+            return is_quiet(self, x, drift_tau)
+
+        monkeypatch.setattr(LogOddsKernel, "is_quiet", flaky)
+    result = run_scenario(scenario)
+    assert len(calls) > clean_calls
+    for key in ("true_offsets", "corrections", "measured", "flags", "log_odds", "drift_taus"):
+        assert same_bits(getattr(result, key), getattr(expected, key)), key

@@ -26,7 +26,7 @@ from timefuse import (
     residual_sigmas,
     residuals_for_path,
 )
-from timefuse.fusion import LogOddsKernel, _logit, fused_log_odds
+from timefuse.fusion import _BLOCK_CELLS, LogOddsKernel, _logit, fused_log_odds
 
 Z_1E6 = 4.753424308817089  # Gaussian quantile at 1 - 1e-6
 
@@ -323,6 +323,47 @@ class TestQuietBound:
     def test_unknown_variant_rejected(self, calib3):
         with pytest.raises(ValueError, match="variant"):
             LogOddsKernel(calib3, "majority")
+
+
+class TestKernelRowsStandAlone:
+    """A row's log-odds do not depend on the batch it is computed in.
+
+    The engine runs the kernel one block of epochs at a time, and steers
+    an epoch that is not quiet by :meth:`LogOddsKernel.epoch_sums`; both
+    must give the row that a call on the whole run gives.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 33),
+        st.sampled_from(VARIANTS),
+        st.sampled_from(CLAMPS),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_any_slice_and_each_epoch_give_the_same_rows(self, n, variant, clamps, seed, data):
+        rng = np.random.default_rng(seed)
+        link, meas = rng.uniform(5e-12, 60e-12, (2, n)).tolist()
+        noise = NoiseConfig(10e-12, 1e-12, tuple(link), tuple(meas), tau=1.0)
+        ceiling, floor = clamps
+        calib = build_calibration_set(noise, 0.05, 0.05, mass_ceiling=ceiling, mass_floor=floor)
+        kernel = LogOddsKernel(calib, variant)
+        # a few rows, or one to two chunks of a batch call and a few rows more
+        step = max(1, _BLOCK_CELLS // (n * n))
+        b = data.draw(st.integers(1, 5) | st.integers(step, 2 * step + 3), label="rows")
+        # rows of quiet, borderline and loud residuals, with exact zeros of both signs
+        x = rng.normal(size=(b, n)) * 10.0 ** rng.integers(-12, -8, size=(b, 1))
+        x[rng.random((b, n)) < 0.1] = 0.0
+        x[rng.random((b, n)) < 0.1] = -0.0
+        drift_tau = rng.normal(size=b) * 1e-10
+        sums = kernel(x, drift_tau)
+        lo = data.draw(st.integers(0, b - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, b), label="hi")
+        assert kernel(x[lo:hi], drift_tau[lo:hi]).tobytes() == sums[lo:hi].tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for row in range(b):
+                epoch = np.array(kernel.epoch_sums(x[row].tolist(), drift_tau[row].item()))
+                assert epoch.tobytes() == sums[row].tobytes()
 
 
 @st.composite
