@@ -7,7 +7,6 @@ from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _STD_NORMAL = NormalDist()
 
@@ -72,24 +71,83 @@ def slope_on_axis(axis: tuple, xs: Sequence[float]) -> float:
     return sxy / sxx
 
 
+#: Bits in the low part of a value split for :func:`window_sums`.
+_LOW_BITS = 40
+
+
+def window_sums(xs: np.ndarray, w: int, starts: np.ndarray) -> np.ndarray:
+    """``math.fsum(xs[s : s + w])`` for each ``s`` in ``starts``, bit for bit.
+
+    ``fsum`` rounds the exact sum once.  Every value whose exponent is
+    within ``spread = 40 - w.bit_length()`` of the largest is a whole
+    number of units ``2**unit``, below ``2**(53 + spread)`` of them.  It
+    splits into a high part and a low part of 40 bits, whose prefix sums
+    over the series are exact in int64, so each window's sum is exactly
+    ``hi * 2**40 + lo`` with ``|hi| < 2**53``.  One float addition rounds
+    that once.  Scaling by ``2**unit`` then rounds nothing: a sum below
+    the normal range is a multiple of ``2**-1074`` with at most 52
+    significant bits, which the float holds exactly.  The windows are
+    consecutive runs of one series, so this costs O(1) a window where
+    ``fsum`` costs O(w).
+
+    ``fsum`` itself sums a window that holds a non-finite value or a
+    value too small for the units, or whose sum is zero (its sign is
+    ``fsum``'s to choose).  It sums every window when a window's
+    magnitudes could add up past the float range, where ``fsum`` raises
+    ``OverflowError`` even if the exact sum fits.
+    """
+    finite = np.isfinite(xs)
+    mantissas, exponents = np.frexp(np.where(finite, xs, 0.0))
+    nonzero = mantissas != 0.0
+    spread = _LOW_BITS - w.bit_length()
+    top = int(exponents[nonzero].max()) if nonzero.any() else 0
+    unit = top - spread - 53
+    if top + w.bit_length() <= 1023:
+        shift = exponents - (top - spread)
+        declined = ~finite | (nonzero & (shift < 0))
+        shift = np.clip(shift, 0, spread).astype(np.int64)
+        whole = (mantissas * 2.0**53).astype(np.int64)  # the value is whole * 2**(unit - shift)
+        down = _LOW_BITS - shift
+        hi = whole >> down
+        lo = (whole - (hi << down)) << shift
+
+        def window(values):
+            prefix = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+            return prefix[starts + w] - prefix[starts]
+
+        lo_sums = window(lo)
+        hi_sums = window(hi) + (lo_sums >> _LOW_BITS)
+        low = (lo_sums & (2**_LOW_BITS - 1)).astype(float)
+        sums = np.ldexp(hi_sums.astype(float) * 2.0**_LOW_BITS + low, unit)
+        rest = np.flatnonzero((window(declined) > 0) | (sums == 0.0))
+    else:
+        sums = np.empty(len(starts))
+        rest = range(len(starts))
+    points = xs.tolist() if len(rest) else None
+    for k in rest:
+        s = int(starts[k])
+        sums[k] = math.fsum(points[s : s + w])
+    return sums
+
+
 def slopes_on_axis(axis: tuple, xs: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Item ``k`` is ``slope_on_axis(axis, xs[s : s + W])`` for ``s = starts[k]``, bit for bit.
 
     ``xs`` is a 1-D series and each window holds the ``W = len(dts)``
     values from a start on.  These are the same IEEE operations in the
-    same order: each window's ``fsum`` mean, then the left fold of
-    ``dt * (x - mean)`` from ``0.0`` as W column additions, then the
-    division by ``sxx``.  ``np.add.reduce`` would add the terms pairwise.
+    same order: each window's ``fsum`` mean (:func:`window_sums`), then
+    the left fold of ``dt * (x - mean)`` from ``0.0`` as W additions of
+    one term of every window, then the division by ``sxx``.
+    ``np.add.reduce`` would add the terms pairwise.
     """
     dts, sxx = axis
     w = len(dts)
-    windows = sliding_window_view(xs, w)[starts]
-    points = xs.tolist()
-    means = np.array([math.fsum(points[s : s + w]) for s in starts.tolist()]) / w
-    terms = (windows - means[:, None]) * np.array(dts)
-    sxy = np.zeros(len(windows))
-    for column in terms.T:
-        sxy += column
+    means = window_sums(xs, w, starts) / w
+    # row j holds the j-th value of every window
+    terms = (xs[np.add.outer(np.arange(w), starts)] - means) * np.array(dts)[:, None]
+    sxy = np.zeros(len(starts))
+    for row in terms:
+        sxy += row
     return sxy / sxx
 
 

@@ -719,9 +719,10 @@ def _ds_epochs(run: _DsRun, state: _DsState, rows):
     error stops the loop and is returned, with the lists of the epochs
     before it.
     """
-    kernel, tau, window, quarantine = run.kernel, run.tau, run.window, run.quarantine
+    tau, window, quarantine = run.tau, run.window, run.quarantine
     time_axis, full_axis = run.time_axis, run.full_axis
-    n = kernel.n
+    is_quiet, is_loud, epoch_sums = run.kernel.is_quiet, run.kernel.is_loud, run.kernel.epoch_sums
+    n = run.kernel.n
     offset, drift, correction, cum_correction, z_history, quarantine_left, clean = state
     z_history = deque(z_history, maxlen=window)  # the caller may restart from ``state``
     # stand in for the unknown row sums of a quiet (all <= 0) or loud (all > 0) epoch
@@ -754,17 +755,19 @@ def _ds_epochs(run: _DsRun, state: _DsState, rows):
                 else:
                     drift_est = 0.0
                 drift_tau = drift_est * tau
-                if kernel.is_quiet(x, drift_tau):
+                if is_quiet(x, drift_tau):
                     sums = quiet_sums
                     clean = True
-                elif kernel.is_loud(x, drift_tau):
+                elif is_loud(x, drift_tau):
                     sums = loud_sums
                     clean = False
                 else:
-                    sums = kernel.epoch_sums(x, drift_tau)
+                    sums = epoch_sums(x, drift_tau)
                     clean = max(sums) <= 0.0
                 if sums is quiet_sums and not any(quarantine_left):
                     kept = x  # what the filter below keeps on a quiet epoch
+                elif sums is loud_sums:
+                    kept = ()  # and on a loud one
                 else:
                     kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
                 correction = -left_sum(kept) / len(kept) if kept else -drift_tau

@@ -9,6 +9,8 @@ agree bit for bit.
 """
 
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ from timefuse import (
     tdev_curve,
 )
 from timefuse import harness
-from timefuse._util import centred_axis, slope_on_axis, slopes_on_axis
+from timefuse._util import centred_axis, slope_on_axis, slopes_on_axis, window_sums
 from timefuse.clocksim import ClockState
 from timefuse.fusion import LogOddsKernel, fused_log_odds
 from timefuse.harness import _BLOCK_EPOCHS
@@ -319,30 +321,71 @@ def test_a_window_of_consecutive_epochs_has_the_fixed_axis(e0, k):
     assert same_bits(sxx, fixed_sxx)
 
 
+def series(kind, rng, k):
+    """``k`` values of one kind, with exact zeros of both signs among them."""
+    if kind == "mixed":  # magnitudes from 1e-15 to 1e2 side by side
+        xs = rng.normal(size=k) * 10.0 ** rng.integers(-15, 3, size=k)
+    elif kind == "ramp":  # a steered clock's accumulated offsets
+        xs = np.cumsum(rng.normal(size=k) * 1e-11) + np.arange(k) * 1e-9
+    elif kind == "ties":  # sums on and next to binary ties
+        xs = np.round(rng.normal(size=k) * 64) / 64 * 2.0 ** int(rng.integers(-60, 60))
+    elif kind == "halfway":  # sums halfway between doubles near 2**53
+        xs = np.round(rng.normal(size=k) * 2.0**52) + rng.choice([0.5, 0.25, 0.0], size=k)
+    elif kind == "huge":  # windows whose partial sums may leave the float range
+        xs = rng.choice([-1.0, 1.0], size=k, p=[0.3, 0.7]) * rng.uniform(1e307, 1.7e308, size=k)
+    elif kind == "tiny":  # units far below the normal range, and subnormal sums
+        xs = np.round(rng.normal(size=k) * 2.0**60) * 2.0 ** -int(rng.integers(1020, 1080))
+    elif kind == "special":
+        xs = rng.normal(size=k)
+        xs[rng.random(k) < 0.05] = rng.choice([math.inf, -math.inf, math.nan])
+    else:
+        xs = np.zeros(k)
+    signed_zeros = rng.random(k) < 0.2
+    xs[signed_zeros] = np.where(rng.random(k) < 0.5, 0.0, -0.0)[signed_zeros]
+    return xs
+
+
+def fsum_or_error(values):
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 64),
+    st.sampled_from(["mixed", "ramp", "ties", "halfway", "huge", "tiny", "special", "zeros"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_window_sums_are_fsum(w, kind, seed, data):
+    xs = series(kind, np.random.default_rng(seed), data.draw(st.integers(w, w + 60), label="k"))
+    starts = np.arange(len(xs) - w + 1)
+    expected = [fsum_or_error(xs[s : s + w].tolist()) for s in starts.tolist()]
+    errors = [e for e in expected if isinstance(e, Exception)]
+    if errors:  # the first window that fsum refuses, in order
+        with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
+            window_sums(xs, w, starts)
+    else:
+        assert same_bits(window_sums(xs, w, starts), expected)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(2, 64),
     st.sampled_from([0.5, 1.0, 2.0]),
-    st.sampled_from(["mixed", "ramp", "zeros"]),
+    st.sampled_from(["mixed", "ramp", "ties", "zeros"]),
     st.integers(0, 2**32 - 1),
     st.data(),
 )
 def test_the_vectorised_window_fit_is_slope_on_axis(w, tau, kind, seed, data):
     # the engine fits a block's calm epochs at once; each must get the loop's slope
-    rng = np.random.default_rng(seed)
-    k = data.draw(st.integers(w, w + 40), label="points")
-    if kind == "mixed":  # magnitudes from 1e-15 to 1e2 side by side
-        xs = rng.normal(size=k) * 10.0 ** rng.integers(-15, 3, size=k)
-    elif kind == "ramp":  # a steered clock's accumulated offsets
-        xs = np.cumsum(rng.normal(size=k) * 1e-11) + np.arange(k) * 1e-9
-    else:
-        xs = np.zeros(k)
-    signed_zeros = rng.random(k) < 0.2
-    xs[signed_zeros] = np.where(rng.random(k) < 0.5, 0.0, -0.0)[signed_zeros]
-    starts = np.array(data.draw(st.lists(st.integers(0, k - w), max_size=20), label="starts"))
+    xs = series(kind, np.random.default_rng(seed), data.draw(st.integers(w, w + 40), label="k"))
+    starts = data.draw(st.lists(st.integers(0, len(xs) - w), max_size=20), label="starts")
     axis = centred_axis([j * tau for j in range(w)])
-    expected = [slope_on_axis(axis, xs[s : s + w].tolist()) for s in starts.tolist()]
-    assert same_bits(slopes_on_axis(axis, xs, starts.astype(np.intp)), expected)
+    expected = [slope_on_axis(axis, xs[s : s + w].tolist()) for s in starts]
+    assert same_bits(slopes_on_axis(axis, xs, np.array(starts, dtype=np.intp)), expected)
 
 
 def test_single_windows_with_and_without_gaps_cross_row_blocks():
