@@ -30,12 +30,13 @@ from collections import deque
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._csvrows import RowKernel
-from ._util import centred_axis, left_sum, logistic, slope_on_axis, slopes_on_axis
+from ._dsloop import DsRun, DsState, ds_block, fill_reports
+from ._util import centred_axis, logistic, slope_on_axis
 from .baselines import fta_update, single_residual_sigma
 from .clocksim import (
     EventSchedule,
@@ -677,212 +678,6 @@ class EpochRecords(SequenceABC):
         )
 
 
-class _DsState(NamedTuple):
-    """The DS loop's state between two epochs."""
-
-    offset: float  # the true clock offset
-    drift: float  # the true clock drift
-    correction: float  # the last epoch's correction
-    cum_correction: float  # every correction so far, added left to right
-    z_history: deque  # the last ``window`` steered offsets, for the frequency fit
-    quarantine_left: list  # per path, the epochs it stays out of the steering mean
-    clean: bool  # the last epoch flagged no path, and no path is in quarantine
-
-
-class _DsRun(NamedTuple):
-    """What the blocks of one DS run share: its kernel, settings, schedule and output columns."""
-
-    kernel: LogOddsKernel
-    tau: float
-    window: int
-    time_axis: list  # the times of a window, from 0.0
-    full_axis: tuple  # centred_axis(time_axis) of a full window, or None
-    quarantine: int
-    schedule: EventSchedule
-    true_offsets: np.ndarray
-    corrections: np.ndarray
-    measured: np.ndarray
-    drift_taus: np.ndarray
-    log_odds: np.ndarray
-
-
-def _ds_epochs(run: _DsRun, state: _DsState, rows):
-    """Run DS epochs from ``state``: ``(state, offsets, corrections, drift_taus, calm, error)``.
-
-    A row holds one epoch's clock increments, jump, link and measurement
-    noise, attacks, and whether it may be calm.  An epoch that may be calm
-    and follows a clean one is *calm*: it keeps every report, as a
-    flag-free epoch with no path in quarantine does, so it needs neither
-    the frequency fit nor the quiet test.  Its drift * tau is left at
-    ``0.0`` and its index goes into ``calm``, for the caller to fit and
-    check.  Any other epoch takes the exact path.  An arithmetic or value
-    error stops the loop and is returned, with the lists of the epochs
-    before it.
-    """
-    tau, window, quarantine = run.tau, run.window, run.quarantine
-    time_axis, full_axis = run.time_axis, run.full_axis
-    is_quiet, is_loud, epoch_sums = run.kernel.is_quiet, run.kernel.is_loud, run.kernel.epoch_sums
-    n = run.kernel.n
-    offset, drift, correction, cum_correction, z_history, quarantine_left, clean = state
-    z_history = deque(z_history, maxlen=window)  # the caller may restart from ``state``
-    # stand in for the unknown row sums of a quiet (all <= 0) or loud (all > 0) epoch
-    quiet_sums = [0.0] * n
-    loud_sums = [1.0] * n
-    offsets, corrections, drift_taus, calm = [], [], [], []
-    error = None
-    try:
-        for i, (w_o, w_d, jump, link_row, meas_row, attack_row, may_be_calm) in enumerate(rows):
-            offset = offset + correction + drift * tau + w_o + jump
-            drift = drift + w_d
-            if clean and may_be_calm:
-                # the reports' left_sum, as the exact path adds them when it keeps all
-                total = 0.0
-                for w, v, a in zip(link_row, meas_row, attack_row):
-                    total += offset + w + v + a
-                correction = -total / n
-                drift_tau = 0.0
-                calm.append(i)
-            else:
-                # the noise and attack terms are finite, so x is never partly NaN,
-                # which is_quiet needs: a NaN offset makes every report NaN, and an
-                # overflow makes a report infinite
-                x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
-                points = len(z_history)
-                if points == window:
-                    drift_est = slope_on_axis(full_axis, z_history)
-                elif points >= 2:
-                    drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
-                else:
-                    drift_est = 0.0
-                drift_tau = drift_est * tau
-                if is_quiet(x, drift_tau):
-                    sums = quiet_sums
-                    clean = True
-                elif is_loud(x, drift_tau):
-                    sums = loud_sums
-                    clean = False
-                else:
-                    sums = epoch_sums(x, drift_tau)
-                    clean = max(sums) <= 0.0
-                if sums is quiet_sums and not any(quarantine_left):
-                    kept = x  # what the filter below keeps on a quiet epoch
-                elif sums is loud_sums:
-                    kept = ()  # and on a loud one
-                else:
-                    kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
-                correction = -left_sum(kept) / len(kept) if kept else -drift_tau
-                if quarantine:
-                    quarantine_left = [
-                        quarantine if s > 0.0 else max(q - 1, 0)
-                        for s, q in zip(sums, quarantine_left)
-                    ]
-                    clean = clean and not any(quarantine_left)
-            z_history.append(-correction - cum_correction)
-            cum_correction += correction
-            offsets.append(offset)
-            corrections.append(correction)
-            drift_taus.append(drift_tau)
-    except (ArithmeticError, ValueError) as exc:  # the caller decides whether a calm epoch led here
-        error = exc
-    state = _DsState(offset, drift, correction, cum_correction, z_history, quarantine_left, clean)
-    return state, offsets, corrections, drift_taus, calm, error
-
-
-def _steered_offsets(state: _DsState, corrections: list) -> tuple:
-    """``(zs, cums)`` of the epochs after ``state`` with ``corrections``, as the loop forms them.
-
-    ``zs`` is the state's window of steered offsets followed by one per
-    epoch, ``-correction - cum_correction``; ``cums[j]`` is the sum of the
-    corrections before epoch ``j``.  ``np.add.accumulate`` adds left to
-    right, from the state's sum, as the loop does.
-    """
-    c = np.array(corrections, dtype=float)
-    cums = np.add.accumulate(np.concatenate(([state.cum_correction], c)))
-    return np.concatenate((np.array(state.z_history, dtype=float), -c - cums[:-1])), cums
-
-
-def _ds_block(run: _DsRun, state: _DsState, lo: int, columns: list, link, meas) -> _DsState:
-    """Run the DS epochs of the block from ``lo`` and fill their columns; return the state after.
-
-    ``columns`` holds the block's clock increments, jumps, link and
-    measurement noise and attacks as lists, in the order of a row of
-    :func:`_ds_epochs`; ``link`` and ``meas`` are the block's noise arrays.
-    """
-    hi = lo + len(link)
-    window = run.window
-    attacks = run.schedule.attacks
-    measured, drift_taus, log_odds = run.measured, run.drift_taus, run.log_odds
-    may_be_calm = (
-        (np.arange(lo, hi) >= window)
-        & (run.schedule.jumps[lo:hi] == 0.0)
-        & ~attacks[lo:hi].any(axis=1)
-    ).tolist()
-    start = filled = lo  # the pass starts at `start`; rows before `filled` are final
-    while True:
-        rows = zip(*(c[start - lo :] for c in columns), may_be_calm[start - lo :])
-        before = state
-        state, offsets, pass_corrections, pass_drift_taus, calm, error = _ds_epochs(
-            run, before, rows
-        )
-        stop = start + len(offsets)
-        run.true_offsets[start:stop] = offsets
-        run.corrections[start:stop] = pass_corrections
-        drift_taus[start:stop] = pass_drift_taus
-        calm_rows = np.array(calm, dtype=np.int64)
-        if calm:
-            zs, cums = _steered_offsets(before, pass_corrections)
-        if error is None:
-            try:
-                if calm:
-                    # calm epoch i fits the window of the `window` steered offsets before it
-                    starts = calm_rows + (len(before.z_history) - window)
-                    fits = slopes_on_axis(run.full_axis, zs, starts)
-                    drift_taus[start + calm_rows] = fits * run.tau
-                _fill_reports(
-                    measured[filled:hi],
-                    run.true_offsets[filled:hi],
-                    link[filled - lo :],
-                    meas[filled - lo :],
-                    attacks[filled:hi],
-                )
-                log_odds[filled:hi] = run.kernel(measured[filled:hi], drift_taus[filled:hi])
-            except (ArithmeticError, ValueError) as exc:
-                error = exc
-        if error is not None:
-            if not calm:
-                raise error
-            k = calm[0]  # the epochs before it took the exact path
-        else:
-            flagged = (log_odds[start + calm_rows] > 0.0).any(axis=1)
-            if not flagged.any():
-                return state
-            k = calm[int(flagged.argmax())]
-            filled = start + k
-        # run again on the exact path from calm epoch start + k, with the state
-        # the exact path had there: no path in quarantine, and the epoch before clean
-        drift = before.drift
-        for w_d in columns[1][start - lo : start - lo + k]:
-            drift = drift + w_d
-        state = _DsState(
-            offsets[k - 1] if k else before.offset,
-            drift,
-            pass_corrections[k - 1] if k else before.correction,
-            cums[k].item(),
-            deque(zs[: len(before.z_history) + k].tolist(), maxlen=window),
-            [0] * run.kernel.n,
-            True,
-        )
-        start += k
-        may_be_calm = [False] * (hi - lo)
-
-
-def _fill_reports(out, true_offsets, link, meas, attacks) -> None:
-    """Every path's report, added in place in the epoch loop's order of additions."""
-    np.add(true_offsets[:, None], link, out=out)
-    out += meas
-    out += attacks
-
-
 def run_scenario(scenario: Scenario) -> RunResult:
     """Execute the epoch loop for ``scenario``; deterministic in (scenario, seed).
 
@@ -905,7 +700,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     attack on any path and no clock jump, no path is in quarantine and
     the epoch before flagged no path.  A calm epoch is steered by the
     mean of all its reports, with no frequency fit and no quiet test
-    (:func:`_ds_epochs`).  Every other DS epoch that
+    (:func:`~timefuse._dsloop.ds_epochs`).  Every other DS epoch that
     :meth:`~timefuse.fusion.LogOddsKernel.is_quiet` proves flag-free, or
     :meth:`~timefuse.fusion.LogOddsKernel.is_loud` proves all-flagged,
     skips the evidence kernel.  After each block, one vectorised pass
@@ -915,7 +710,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     stands if no calm epoch has a positive log-odds: the exact path keeps
     every report of such an epoch too.  Otherwise the rest of the block
     runs again on the exact path from the first calm epoch that has one,
-    with the exact path's state there (:func:`_ds_block`).  After an
+    with the exact path's state there (:func:`~timefuse._dsloop.ds_block`).  After an
     error, which a non-finite report or drift * tau raises in the kernel,
     it runs again from the block's first calm epoch.  So the flags,
     corrections, log-odds and errors are those of the exact path.
@@ -955,7 +750,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     if kernel is not None:
         drift_taus = np.empty(n_epochs)
         log_odds = np.empty((n_epochs, n))
-        ds = _DsRun(
+        ds = DsRun(
             kernel,
             tau,
             window,
@@ -969,7 +764,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             drift_taus,
             log_odds,
         )
-        state = _DsState(0.0, 0.0, 0.0, 0.0, deque(), [0] * n, True)
+        state = DsState(0.0, 0.0, 0.0, 0.0, deque(), [0] * n, True)
     else:
         drift_taus = log_odds = None
 
@@ -990,7 +785,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 attacks[lo:hi].tolist(),
             ]
             if kernel is not None:
-                state = _ds_block(ds, state, lo, columns, link, meas)
+                state = ds_block(ds, state, lo, columns, link, meas)
                 offset, correction = state.offset, state.correction
                 np.greater(log_odds[lo:hi], 0.0, out=flags[lo:hi])
             else:
@@ -1025,7 +820,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 corrections[lo:hi] = block_corrections
                 if block_flags:
                     flags[lo:hi, 0] = block_flags
-                _fill_reports(measured[lo:hi], true_column[lo:hi], link, meas, attacks[lo:hi])
+                fill_reports(measured[lo:hi], true_column[lo:hi], link, meas, attacks[lo:hi])
             # a non-finite offset or correction stays non-finite in every later epoch
             if not (math.isfinite(offset) and math.isfinite(correction)):
                 raise ValueError("clock state must be finite")

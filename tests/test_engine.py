@@ -41,7 +41,7 @@ from timefuse import (
     step_clock,
     tdev_curve,
 )
-from timefuse import harness
+from timefuse import _dsloop
 from timefuse._util import centred_axis, slope_on_axis, slopes_on_axis, window_sums
 from timefuse.clocksim import ClockState
 from timefuse.fusion import LogOddsKernel, fused_log_odds
@@ -512,7 +512,7 @@ def test_a_block_that_fails_after_calm_epochs_reruns_on_the_exact_path(failure, 
         def fit(*args):
             raise OverflowError("intermediate overflow in fsum")
 
-        monkeypatch.setattr(harness, "slopes_on_axis", fit)
+        monkeypatch.setattr(_dsloop, "slopes_on_axis", fit)
     else:
         # the second exact epoch past the warm-up window, which follows calm
         # epochs, raises the first time it is run
