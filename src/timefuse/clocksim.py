@@ -111,9 +111,6 @@ class PeriodicAttackRule:
     magnitude_s: float
     duration_epochs: int = 1
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", tuple(int(p) for p in self.paths))
-
 
 @dataclass(frozen=True)
 class PeriodicJumpRule:
@@ -186,7 +183,8 @@ def schedule_events(
         if bad:
             raise ValueError(f"attack rule paths {bad} outside 0..{n_paths - 1}")
         starts = _rule_epochs(rule.period_s, rule.phase_s, n_epochs, tau)
-        epochs = (starts[:, None] + np.arange(rule.duration_epochs)).ravel()
+        # an attack cannot outlast the run, however long its duration
+        epochs = (starts[:, None] + np.arange(min(rule.duration_epochs, n_epochs))).ravel()
         attacks.append(
             (epochs[epochs < n_epochs], np.array(rule.paths, dtype=np.intp), rule.magnitude_s)
         )

@@ -30,8 +30,9 @@ result -- the classic failure mode of the unclamped rule under highly
 conflicting sources.
 
 In log-odds ``log(attack / normal)`` the rule is addition and the caps
-are clips of each term; :func:`timefuse.fusion.classify_paths` fuses in
-that form.  The mass-level functions here remain the reference algebra.
+are clips of each term; the engine fuses in that form, through
+:class:`timefuse.fusion.LogOddsKernel`.  The mass-level functions here
+remain the reference algebra.
 """
 
 from __future__ import annotations

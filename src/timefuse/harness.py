@@ -23,14 +23,15 @@ import io
 import itertools
 import json
 import math
+import numbers
 import re
 import statistics
 import warnings
 from collections import deque
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -94,16 +95,120 @@ METHODS = VARIANTS + ("FTA", "Single")
 #: Built-in scenario names, in sweep order.
 PRESET_NAMES = ("fig3", "fig4", "fig5a", "fig5b", "fig5c", "fig5d", "exp3")
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
+_NAME_RE = re.compile(r"[A-Za-z0-9._-]{1,64}")
+
+#: The scenario file, in file order: the section that holds each setting
+#: (``None`` for the top level), its key there, the :class:`Scenario` field
+#: it sets and the field's type, a key of :data:`_TYPES`.  The type of a
+#: rule list is its rule class; a rule's keys in the file are its field
+#: names, and :data:`_RULE_FIELDS` gives their types.  ``Scenario`` checks
+#: its fields, :meth:`Scenario.to_dict` writes them and
+#: :func:`scenario_from_dict` reads them by these two tables.
+_SCENARIO_KEYS = (
+    (None, "name", "name", "str"),
+    (None, "method", "method", "str"),
+    (None, "seed", "seed", "int"),
+    (None, "n_paths", "n_paths", "int"),
+    (None, "n_epochs", "n_epochs", "int"),
+    (None, "tau_s", "tau", "float"),
+    ("noise", "sigma_offset_s", "sigma_offset", "float"),
+    ("noise", "sigma_drift_ss", "sigma_drift", "float"),
+    ("noise", "sigma_link_s", "sigma_link", "per_path"),
+    ("noise", "sigma_meas_s", "sigma_meas", "per_path"),
+    ("detector", "p_false_alarm", "p_false_alarm", "float"),
+    ("detector", "p_missed", "p_missed", "float"),
+    ("detector", "mass_ceiling", "mass_ceiling", "float"),
+    ("detector", "mass_floor", "mass_floor", "float"),
+    ("detector", "steepness_log_odds", "steepness_log_odds", "float"),
+    ("detector", "two_sided", "two_sided", "bool"),
+    ("detector", "window_epochs", "window", "int"),
+    ("detector", "quarantine_epochs", "quarantine", "int"),
+    (None, "attacks", "attack_rules", PeriodicAttackRule),
+    (None, "jumps", "jump_rules", PeriodicJumpRule),
+)
+_RULE_FIELDS = {
+    "paths": "paths",
+    "period_s": "float",
+    "phase_s": "float",
+    "magnitude_s": "float",
+    "duration_epochs": "int",
+}
+
+#: What a value of each type must be, as error messages say it.  A number
+#: ``per_path`` is one number for every path or a list of one per path.
+_TYPES = {
+    "str": "a string",
+    "bool": "true or false",
+    "int": "an integer",
+    "float": "a number",
+    "per_path": "a number or one number per path",
+    "paths": "a list of path indices",
+    PeriodicAttackRule: "a list of PeriodicAttackRule",
+    PeriodicJumpRule: "a list of PeriodicJumpRule",
+}
 
 
 class ScenarioError(ValueError):
     """A scenario field failed validation; the message names the field."""
 
 
-def _canon_method(method: str) -> str:
+def _typed(value, kind, context: str):
+    """``value`` checked as a ``kind`` setting named ``context``, numbers as ``int`` or ``float``.
+
+    A bool is no number and a float no int, however whole.  Lists become
+    tuples, and each rule a rule of checked fields.
+    """
+    if isinstance(kind, type) and isinstance(value, (list, tuple)):
+        rules = []
+        for k, rule in enumerate(value):
+            at = f"{context}[{k}]"
+            if not isinstance(rule, kind):
+                raise ScenarioError(f"{at} must be a {kind.__name__}")
+            checked = {
+                f.name: _typed(getattr(rule, f.name), _RULE_FIELDS[f.name], f"{at}.{f.name}")
+                for f in fields(rule)
+            }
+            rules.append(kind(**checked))
+        return tuple(rules)
+    if kind in ("per_path", "paths") and isinstance(value, (list, tuple)):
+        item = "float" if kind == "per_path" else "int"
+        return tuple(_typed(v, item, f"{context}[{k}]") for k, v in enumerate(value))
+    if kind == "str" and isinstance(value, str) or kind == "bool" and isinstance(value, bool):
+        return value
+    # the built-in types come first in each check: an ABC check takes ten times as long
+    if not isinstance(value, bool):
+        if kind == "int" and isinstance(value, (int, numbers.Integral)):
+            return int(value)
+        if kind in ("float", "per_path") and isinstance(value, (float, int, numbers.Real)):
+            try:
+                return float(value)
+            except OverflowError:
+                raise ScenarioError(f"{context} is beyond the float range") from None
+    raise ScenarioError(f"{context} must be {_TYPES[kind]}")
+
+
+def _plain(value):
+    """A field's value as plain data: tuples become lists and rules mappings of their fields."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
+def _check_run(name: str, method: str, n_paths: int) -> str:
+    """The canonical spelling of ``method``, once a run's name, method and path count pass.
+
+    :class:`Scenario` and :func:`parse_run_csv` both check these three.
+    """
+    if not _NAME_RE.fullmatch(name):
+        raise ScenarioError("name: must be 1-64 characters of letters, digits, '.', '_' or '-'")
+    if n_paths < 2:
+        raise ScenarioError("n_paths: need at least 2")
     for m in METHODS:
         if method.upper() == m.upper():
+            if m == "FTA" and n_paths < 3:
+                raise ScenarioError("n_paths: FTA needs at least 3 paths")
             return m
     raise ScenarioError(f"method: unknown {method!r}; expected one of {METHODS}")
 
@@ -115,7 +220,9 @@ class Scenario:
     Noise defaults are the standard bench values: 10 ps phase walk,
     1 ps/s frequency walk, 10 ps link noise and 25 ps measurement noise
     per path, at a 1 s epoch.  ``sigma_link``/``sigma_meas`` accept a
-    scalar (applied to every path) or one value per path.
+    scalar (applied to every path) or one value per path.  The fields
+    have the types of :data:`_SCENARIO_KEYS`, with numbers stored as
+    ``int`` or ``float``: ``tau=1`` and ``tau=1.0`` are one scenario.
     """
 
     name: str
@@ -140,77 +247,38 @@ class Scenario:
     quarantine: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
-            raise ScenarioError(
-                "name: must be 1-64 characters of letters, digits, '.', '_' or '-'"
-            )
-        for fname in ("n_paths", "n_epochs", "seed", "window", "quarantine"):
+        for _, _, fname, kind in _SCENARIO_KEYS:
+            object.__setattr__(self, fname, _typed(getattr(self, fname), kind, fname))
+        object.__setattr__(self, "method", _check_run(self.name, self.method, self.n_paths))
+        for fname, least in (("n_epochs", 1), ("seed", 0), ("window", 2), ("quarantine", 0)):
+            if getattr(self, fname) < least:
+                raise ScenarioError(f"{fname}: must be at least {least}")
+        for fname in ("tau", "steepness_log_odds"):
+            if not (math.isfinite(getattr(self, fname)) and getattr(self, fname) > 0.0):
+                raise ScenarioError(f"{fname}: must be positive")
+        for fname in ("sigma_offset", "sigma_drift", "sigma_link", "sigma_meas"):
             v = getattr(self, fname)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ScenarioError(f"{fname}: must be an integer")
-        if self.n_paths < 2:
-            raise ScenarioError("n_paths: need at least 2")
-        if self.n_epochs < 1:
-            raise ScenarioError("n_epochs: need at least 1")
-        if self.seed < 0:
-            raise ScenarioError("seed: must be non-negative")
-        if self.window < 2:
-            raise ScenarioError("window: need at least 2 epochs")
-        if self.quarantine < 0:
-            raise ScenarioError("quarantine: must be non-negative")
-        object.__setattr__(self, "method", _canon_method(self.method))
-        if self.method == "FTA" and self.n_paths < 3:
-            raise ScenarioError("n_paths: FTA needs at least 3 paths")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ScenarioError("tau: must be positive")
-        for fname in ("sigma_offset", "sigma_drift"):
-            v = getattr(self, fname)
-            if not (isinstance(v, float) and math.isfinite(v) and v >= 0.0):
-                raise ScenarioError(f"{fname}: must be a non-negative number")
-        for fname in ("sigma_link", "sigma_meas"):
-            v = getattr(self, fname)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                v = float(v)
-            else:
-                try:
-                    v = tuple(float(s) for s in v)
-                except (TypeError, ValueError):
-                    raise ScenarioError(
-                        f"{fname}: must be a number or one number per path"
-                    ) from None
-                if len(v) != self.n_paths:
-                    raise ScenarioError(
-                        f"{fname}: got {len(v)} values for {self.n_paths} paths"
-                    )
-            scalars = (v,) if isinstance(v, float) else v
-            if any(not (math.isfinite(s) and s >= 0.0) for s in scalars):
+            values = v if isinstance(v, tuple) else (v,)
+            if isinstance(v, tuple) and len(v) != self.n_paths:
+                raise ScenarioError(f"{fname}: got {len(v)} values for {self.n_paths} paths")
+            if not all(math.isfinite(s) and s >= 0.0 for s in values):
                 raise ScenarioError(f"{fname}: values must be non-negative")
-            object.__setattr__(self, fname, v)
         for fname in ("p_false_alarm", "p_missed"):
-            v = getattr(self, fname)
-            if not 0.0 < v < 0.5:
+            if not 0.0 < getattr(self, fname) < 0.5:
                 raise ScenarioError(f"{fname}: must lie in (0, 0.5)")
         if not 0.0 <= self.mass_floor < 0.5 < self.mass_ceiling <= 1.0:
             raise ScenarioError(
                 "mass_floor/mass_ceiling: need 0 <= floor < 0.5 < ceiling <= 1"
             )
-        if not (math.isfinite(self.steepness_log_odds) and self.steepness_log_odds > 0.0):
-            raise ScenarioError("steepness_log_odds: must be positive")
-        object.__setattr__(self, "attack_rules", tuple(self.attack_rules))
-        object.__setattr__(self, "jump_rules", tuple(self.jump_rules))
         for rule in self.attack_rules:
             if not rule.paths:
                 raise ScenarioError("attack_rules: rule with no paths")
-            d = rule.duration_epochs
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise ScenarioError("attack_rules: duration_epochs must be an integer")
-            if d < 1:
+            if rule.duration_epochs < 1:
                 raise ScenarioError("attack_rules: duration_epochs must be >= 1")
-            if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
-                raise ScenarioError("attack_rules: magnitude_s must be non-zero")
-        for rule in self.jump_rules:
-            if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
-                raise ScenarioError("jump_rules: magnitude_s must be non-zero")
+        for fname in ("attack_rules", "jump_rules"):
+            for rule in getattr(self, fname):
+                if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
+                    raise ScenarioError(f"{fname}: magnitude_s must be non-zero")
         try:
             schedule_events(
                 self.attack_rules, self.jump_rules, self.n_epochs, self.n_paths, self.tau
@@ -218,13 +286,16 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(f"event rules: {exc}") from exc
         # the detectors calibrate on these sigmas when the run starts
-        if self.method == "Single":
-            sigmas = (single_residual_sigma(self.noise()),)
-        elif self.method in VARIANTS:
-            self_sigmas, cross_sigmas = residual_sigmas(self.noise())
-            sigmas = self_sigmas + tuple(cross_sigmas.values())
-        else:
-            sigmas = ()
+        try:
+            if self.method == "Single":
+                sigmas = (single_residual_sigma(self.noise()),)
+            elif self.method in VARIANTS:
+                self_sigmas, cross_sigmas = residual_sigmas(self.noise())
+                sigmas = self_sigmas + tuple(cross_sigmas.values())
+            else:
+                sigmas = ()
+        except OverflowError:  # a sigma's square leaves the float range
+            sigmas = (math.inf,)
         if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
             raise ScenarioError(
                 f"noise: every residual sigma of the {self.method} detector must be"
@@ -267,204 +338,69 @@ class Scenario:
 
     def to_dict(self) -> dict:
         """Nested plain-data form, the inverse of :func:`scenario_from_dict`."""
-        return {
-            "name": self.name,
-            "method": self.method,
-            "seed": self.seed,
-            "n_paths": self.n_paths,
-            "n_epochs": self.n_epochs,
-            "tau_s": self.tau,
-            "noise": {
-                "sigma_offset_s": self.sigma_offset,
-                "sigma_drift_ss": self.sigma_drift,
-                "sigma_link_s": list(self.sigma_link)
-                if isinstance(self.sigma_link, tuple)
-                else self.sigma_link,
-                "sigma_meas_s": list(self.sigma_meas)
-                if isinstance(self.sigma_meas, tuple)
-                else self.sigma_meas,
-            },
-            "detector": {
-                "p_false_alarm": self.p_false_alarm,
-                "p_missed": self.p_missed,
-                "mass_ceiling": self.mass_ceiling,
-                "mass_floor": self.mass_floor,
-                "steepness_log_odds": self.steepness_log_odds,
-                "two_sided": self.two_sided,
-                "window_epochs": self.window,
-                "quarantine_epochs": self.quarantine,
-            },
-            "attacks": [
-                {
-                    "paths": list(r.paths),
-                    "period_s": r.period_s,
-                    "phase_s": r.phase_s,
-                    "magnitude_s": r.magnitude_s,
-                    "duration_epochs": r.duration_epochs,
-                }
-                for r in self.attack_rules
-            ],
-            "jumps": [
-                {
-                    "period_s": r.period_s,
-                    "phase_s": r.phase_s,
-                    "magnitude_s": r.magnitude_s,
-                }
-                for r in self.jump_rules
-            ],
-        }
+        data: dict = {}
+        for section, key, fname, _ in _SCENARIO_KEYS:
+            place = data if section is None else data.setdefault(section, {})
+            place[key] = _plain(getattr(self, fname))
+        return data
 
 
-def _reject_unknown(d: dict, allowed: Iterable[str], context: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
+def _mapping(value, context: str, known, required=()) -> dict:
+    """``value``, checked to be a mapping of keys in ``known`` with every key in ``required``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected a mapping")
+    unknown = sorted(set(value).difference(known), key=str)
     if unknown:
         raise ScenarioError(f"{context}: unknown keys {unknown}")
-
-
-def _as_int(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{context}: must be an integer")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ScenarioError(f"{context}: must be an integer")
-        value = int(value)
+    for key in required:
+        if key not in value:
+            raise ScenarioError(f"{context}: missing required key {key!r}")
     return value
 
 
-def _as_float(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{context}: must be a number")
-    return float(value)
+def _required(cls) -> list:
+    """The fields of dataclass ``cls`` that have no default."""
+    return [f.name for f in fields(cls) if f.default is MISSING]
+
+
+def _from_file(value, kind, context: str):
+    """A file's ``value`` for a ``kind`` setting named ``context``, with rules built.
+
+    JSON has one number type, so a whole-number float such as ``30.0`` is
+    read as an int where an int belongs.
+    """
+    if isinstance(kind, type) and isinstance(value, list):
+        names = [f.name for f in fields(kind)]
+        rules = []
+        for k, entry in enumerate(value):
+            entry = _mapping(entry, f"{context}[{k}]", names, _required(kind))
+            rules.append(kind(**{n: _from_file(v, _RULE_FIELDS[n], n) for n, v in entry.items()}))
+        return rules
+    if kind == "paths" and isinstance(value, list):
+        return [_from_file(v, "int", context) for v in value]
+    if kind == "int" and isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a :class:`Scenario` from its nested plain-data form.
+    """Build a :class:`Scenario` from the nested plain-data form :data:`_SCENARIO_KEYS` lays out.
 
-    Unknown keys anywhere in the structure are rejected so that typos in
-    scenario files fail loudly instead of silently using a default.
+    Only the structure is checked here.  Unknown keys anywhere in it are
+    rejected so that typos in scenario files fail loudly instead of
+    silently using a default, and the keys of fields with no default are
+    required.  :class:`Scenario` checks the values, as it does in Python.
     """
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario: expected a mapping at the top level")
-    _reject_unknown(
-        data,
-        ("name", "method", "seed", "n_paths", "n_epochs", "tau_s", "noise", "detector", "attacks", "jumps"),
-        "scenario",
-    )
-    for key in ("name", "n_paths", "n_epochs"):
-        if key not in data:
-            raise ScenarioError(f"scenario: missing required key {key!r}")
-    noise = data.get("noise", {})
-    if not isinstance(noise, dict):
-        raise ScenarioError("noise: expected a mapping")
-    _reject_unknown(
-        noise, ("sigma_offset_s", "sigma_drift_ss", "sigma_link_s", "sigma_meas_s"), "noise"
-    )
-    det = data.get("detector", {})
-    if not isinstance(det, dict):
-        raise ScenarioError("detector: expected a mapping")
-    _reject_unknown(
-        det,
-        (
-            "p_false_alarm",
-            "p_missed",
-            "mass_ceiling",
-            "mass_floor",
-            "steepness_log_odds",
-            "two_sided",
-            "window_epochs",
-            "quarantine_epochs",
-        ),
-        "detector",
-    )
-
-    def per_path_sigma(value, context):
-        if isinstance(value, (list, tuple)):
-            return tuple(_as_float(v, context) for v in value)
-        return _as_float(value, context)
-
-    attacks = []
-    for k, entry in enumerate(data.get("attacks", [])):
-        ctx = f"attacks[{k}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{ctx}: expected a mapping")
-        _reject_unknown(
-            entry, ("paths", "period_s", "phase_s", "magnitude_s", "duration_epochs"), ctx
-        )
-        try:
-            paths = tuple(_as_int(p, f"{ctx}.paths") for p in entry["paths"])
-            attacks.append(
-                PeriodicAttackRule(
-                    paths=paths,
-                    period_s=_as_float(entry["period_s"], f"{ctx}.period_s"),
-                    phase_s=_as_float(entry["phase_s"], f"{ctx}.phase_s"),
-                    magnitude_s=_as_float(entry["magnitude_s"], f"{ctx}.magnitude_s"),
-                    duration_epochs=_as_int(
-                        entry.get("duration_epochs", 1), f"{ctx}.duration_epochs"
-                    ),
-                )
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"{ctx}: missing key {exc.args[0]!r}") from None
-    jumps = []
-    for k, entry in enumerate(data.get("jumps", [])):
-        ctx = f"jumps[{k}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{ctx}: expected a mapping")
-        _reject_unknown(entry, ("period_s", "phase_s", "magnitude_s"), ctx)
-        try:
-            jumps.append(
-                PeriodicJumpRule(
-                    period_s=_as_float(entry["period_s"], f"{ctx}.period_s"),
-                    phase_s=_as_float(entry["phase_s"], f"{ctx}.phase_s"),
-                    magnitude_s=_as_float(entry["magnitude_s"], f"{ctx}.magnitude_s"),
-                )
-            )
-        except KeyError as exc:
-            raise ScenarioError(f"{ctx}: missing key {exc.args[0]!r}") from None
-
-    kwargs: dict = {
-        "name": data["name"],
-        "n_paths": _as_int(data["n_paths"], "n_paths"),
-        "n_epochs": _as_int(data["n_epochs"], "n_epochs"),
-        "attack_rules": tuple(attacks),
-        "jump_rules": tuple(jumps),
-    }
-    if "method" in data:
-        if not isinstance(data["method"], str):
-            raise ScenarioError("method: must be a string")
-        kwargs["method"] = data["method"]
-    if "seed" in data:
-        kwargs["seed"] = _as_int(data["seed"], "seed")
-    if "tau_s" in data:
-        kwargs["tau"] = _as_float(data["tau_s"], "tau_s")
-    if "sigma_offset_s" in noise:
-        kwargs["sigma_offset"] = _as_float(noise["sigma_offset_s"], "noise.sigma_offset_s")
-    if "sigma_drift_ss" in noise:
-        kwargs["sigma_drift"] = _as_float(noise["sigma_drift_ss"], "noise.sigma_drift_ss")
-    if "sigma_link_s" in noise:
-        kwargs["sigma_link"] = per_path_sigma(noise["sigma_link_s"], "noise.sigma_link_s")
-    if "sigma_meas_s" in noise:
-        kwargs["sigma_meas"] = per_path_sigma(noise["sigma_meas_s"], "noise.sigma_meas_s")
-    if "p_false_alarm" in det:
-        kwargs["p_false_alarm"] = _as_float(det["p_false_alarm"], "detector.p_false_alarm")
-    if "p_missed" in det:
-        kwargs["p_missed"] = _as_float(det["p_missed"], "detector.p_missed")
-    if "mass_ceiling" in det:
-        kwargs["mass_ceiling"] = _as_float(det["mass_ceiling"], "detector.mass_ceiling")
-    if "mass_floor" in det:
-        kwargs["mass_floor"] = _as_float(det["mass_floor"], "detector.mass_floor")
-    if "steepness_log_odds" in det:
-        kwargs["steepness_log_odds"] = _as_float(
-            det["steepness_log_odds"], "detector.steepness_log_odds"
-        )
-    if "two_sided" in det:
-        if not isinstance(det["two_sided"], bool):
-            raise ScenarioError("detector.two_sided: must be true or false")
-        kwargs["two_sided"] = det["two_sided"]
-    if "window_epochs" in det:
-        kwargs["window"] = _as_int(det["window_epochs"], "detector.window_epochs")
-    if "quarantine_epochs" in det:
-        kwargs["quarantine"] = _as_int(det["quarantine_epochs"], "detector.quarantine_epochs")
+    no_default = _required(Scenario)
+    required = [key for _, key, fname, _ in _SCENARIO_KEYS if fname in no_default]
+    found = {None: _mapping(data, "scenario", {s or k for s, k, _, _ in _SCENARIO_KEYS}, required)}
+    kwargs = {}
+    for section, key, fname, kind in _SCENARIO_KEYS:
+        if section not in found:
+            known = [k for s, k, _, _ in _SCENARIO_KEYS if s == section]
+            found[section] = _mapping(data.get(section, {}), section, known)
+        if key in found[section]:
+            kwargs[fname] = _from_file(found[section][key], kind, key)
     return Scenario(**kwargs)
 
 
@@ -1010,7 +946,8 @@ def parse_run_csv(path) -> RunResult:
     allocated; then ``np.loadtxt`` reads ``_BLOCK_EPOCHS`` rows at a time
     from the open file, and each block is checked and stored in the
     columns, so neither the file's text nor a table of all its cells is
-    ever held whole.  Each row must have the header's cell count and
+    ever held whole.  The preamble's name, method and path count must
+    pass :class:`Scenario`'s checks.  Each row must have the header's cell count and
     every cell must be a finite number (``np.loadtxt`` accepts ``nan``
     and ``inf``, which the writer never produces and which would
     silently poison the report's statistics); an epoch cell must be an
@@ -1046,6 +983,10 @@ def parse_run_csv(path) -> RunResult:
             fail("non-numeric preamble value")
         if n < 1:
             fail("n_paths must be positive")
+        try:
+            method = _check_run(meta["name"], meta["method"], n)
+        except ScenarioError as exc:
+            fail(str(exc))
         if seed < 0:
             fail("seed must be non-negative")
         if window < 2:
@@ -1099,7 +1040,7 @@ def parse_run_csv(path) -> RunResult:
                     if fmt == "%.3f":
                         np.divide(table[:, cells], _PS, out=columns[name][lo:hi])
     return RunResult(
-        name=meta["name"], method=meta["method"], seed=seed, tau=tau, window=window, **columns
+        name=meta["name"], method=method, seed=seed, tau=tau, window=window, **columns
     )
 
 

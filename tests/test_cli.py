@@ -279,6 +279,32 @@ class TestReport:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("# name=../escaped", "name: must be"),
+            ("# method=bogus", "method: unknown 'bogus'"),
+            ("# n_paths=1", "n_paths: need at least 2"),
+            ("# n_paths=2", "n_paths: FTA needs at least 3 paths"),
+        ],
+    )
+    def test_report_rejects_a_run_no_scenario_could_make(self, line, message, capsys, tmp_path):
+        scn = tmp_path / "s.json"
+        scn.write_text(json.dumps({"name": "s", "method": "FTA", "n_paths": 3, "n_epochs": 40}))
+        run_cli(["run", str(scn), "--out", str(tmp_path), "--format", "csv"], capsys)
+        key = line.partition("=")[0]
+        rows = (tmp_path / "s_FTA_seed1.csv").read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(line + "\n" if row.startswith(key + "=") else row for row in rows))
+        before = sorted(tmp_path.rglob("*"))
+        out_dir = tmp_path / "out" / "inner"
+        code, out, err = run_cli(["report", str(bad), "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert f"{bad}: {message}" in err
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestSweep:
     def test_small_sweep_prints_a_table(self, capsys):
         code, out, _ = run_cli(
