@@ -24,11 +24,6 @@ def norm_quantile(p: float) -> float:
     return _STD_NORMAL.inv_cdf(p)
 
 
-def norm_cdf(t: float) -> float:
-    """CDF of the standard normal distribution."""
-    return _STD_NORMAL.cdf(t)
-
-
 def left_sum(xs: Iterable[float]) -> float:
     """Floats of ``xs`` added strictly left to right, starting at ``0.0``.
 

@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
+from ._dsloop import fill_reports
 from ._util import left_sum, ols_slope
 from .clocksim import NoiseConfig
 from .evidence import threshold_for_false_alarm
@@ -42,6 +45,69 @@ def fta_update(offsets: Sequence[float]) -> float:
     kept = sorted(offsets)[1:-1]
     mean = left_sum(kept) / len(kept)
     return -min(max(mean, kept[0]), kept[-1])
+
+
+def fta_kept_order(link, meas, attacks) -> np.ndarray:
+    """Each epoch's guess of the paths FTA keeps, in order: the reports less their offset sort so."""
+    return np.argsort(link + meas + attacks, axis=1, kind="stable")[:, 1:-1]
+
+
+def fta_block(offset, correction, steps, paths, out) -> tuple:
+    """Run one block of FTA epochs into ``out``; return ``(offset, correction)`` after it.
+
+    ``steps`` holds the block's drift * tau, clock noise and jumps, ``paths``
+    its link noise, measurement noise and attacks, and ``out`` its offset,
+    correction and report columns.  The loop forms only the reports that
+    :func:`fta_kept_order` guesses are kept.  One pass then runs
+    :func:`fta_update` on every row, and the loop runs again after the first
+    epoch whose correction differs in a bit, from that epoch's exact one.  A
+    block with a non-finite report runs ``fta_update`` epoch by epoch.
+    """
+    offsets, corrections, reports = out
+    n_kept = reports.shape[1] - 2
+    order = fta_kept_order(*paths)
+    kept = np.stack([np.take_along_axis(c, order, axis=1) for c in paths], axis=2)
+    rows = list(zip(*(c.tolist() for c in steps), kept.reshape(len(order), -1).tolist()))
+    start = 0
+    while True:
+        before = offset, correction
+        pass_offsets, pass_corrections = [], []
+        for dt, w_o, jump, row in rows[start:]:
+            offset = offset + correction + dt + w_o + jump
+            it = iter(row)
+            total = 0.0
+            for w, v, a in zip(it, it, it):
+                x = offset + w + v + a
+                total += x
+            # fta_update's clamp, between the first kept report and the last, x
+            correction = -min(max(total / n_kept, offset + row[0] + row[1] + row[2]), x)
+            pass_offsets.append(offset)
+            pass_corrections.append(correction)
+        offsets[start:], corrections[start:] = pass_offsets, pass_corrections
+        fill_reports(reports[start:], offsets[start:], *(c[start:] for c in paths))
+        if not np.isfinite(reports[start:]).all():
+            break
+        # fta_update on every row: a stable sort, a fold from +0.0 and Python's max and min
+        kept = np.sort(reports[start:], axis=1, kind="stable")[:, 1:-1]
+        total = np.zeros(len(kept))
+        for column in kept.T:
+            total += column
+        mean = np.where(kept[:, 0] > total / n_kept, kept[:, 0], total / n_kept)
+        exact = -np.where(kept[:, -1] < mean, kept[:, -1], mean)
+        wrong = np.flatnonzero(exact.view(np.int64) != corrections[start:].view(np.int64))
+        if not len(wrong):
+            return offset, correction
+        # the corrections before it are exact, and so are its offset and reports
+        start += wrong[0].item()
+        offset, correction = offsets[start].item(), fta_update(reports[start].tolist())
+        corrections[start] = correction
+        start += 1
+    offset, correction = before
+    for k, (dt, w_o, jump, _) in enumerate(rows[start:], start):
+        offsets[k] = offset = offset + correction + dt + w_o + jump
+        fill_reports(reports[k : k + 1], offsets[k : k + 1], *(c[k : k + 1] for c in paths))
+        corrections[k] = correction = fta_update(reports[k].tolist())
+    return offset, correction
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import numpy as np
 from ._csvrows import RowKernel
 from ._dsloop import DsRun, DsState, ds_block, fill_reports
 from ._util import centred_axis, logistic, slope_on_axis
-from .baselines import fta_update, single_residual_sigma
+from .baselines import fta_block, single_residual_sigma
 from .clocksim import (
     EventSchedule,
     NoiseConfig,
@@ -196,15 +196,21 @@ def _plain(value):
     return value
 
 
-def _check_run(name: str, method: str, n_paths: int) -> str:
-    """The canonical spelling of ``method``, once a run's name, method and path count pass.
+def _check_run(name: str, method: str, n_paths: int, seed: int, window: int, tau: float) -> str:
+    """The canonical spelling of ``method``, once the settings a run CSV's preamble holds pass.
 
-    :class:`Scenario` and :func:`parse_run_csv` both check these three.
+    :class:`Scenario` and :func:`parse_run_csv` both check these.  A message
+    names the field, and in brackets its preamble key where the two differ.
     """
     if not _NAME_RE.fullmatch(name):
         raise ScenarioError("name: must be 1-64 characters of letters, digits, '.', '_' or '-'")
     if n_paths < 2:
         raise ScenarioError("n_paths: need at least 2")
+    for value, least, fname in ((seed, 0, "seed"), (window, 2, "window (window_epochs)")):
+        if value < least:
+            raise ScenarioError(f"{fname}: must be at least {least}")
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ScenarioError("tau (tau_s): must be positive")
     for m in METHODS:
         if method.upper() == m.upper():
             if m == "FTA" and n_paths < 3:
@@ -249,13 +255,13 @@ class Scenario:
     def __post_init__(self) -> None:
         for _, _, fname, kind in _SCENARIO_KEYS:
             object.__setattr__(self, fname, _typed(getattr(self, fname), kind, fname))
-        object.__setattr__(self, "method", _check_run(self.name, self.method, self.n_paths))
-        for fname, least in (("n_epochs", 1), ("seed", 0), ("window", 2), ("quarantine", 0)):
+        run = (self.name, self.method, self.n_paths, self.seed, self.window, self.tau)
+        object.__setattr__(self, "method", _check_run(*run))
+        for fname, least in (("n_epochs", 1), ("quarantine", 0)):
             if getattr(self, fname) < least:
                 raise ScenarioError(f"{fname}: must be at least {least}")
-        for fname in ("tau", "steepness_log_odds"):
-            if not (math.isfinite(getattr(self, fname)) and getattr(self, fname) > 0.0):
-                raise ScenarioError(f"{fname}: must be positive")
+        if not (math.isfinite(self.steepness_log_odds) and self.steepness_log_odds > 0.0):
+            raise ScenarioError("steepness_log_odds: must be positive")
         for fname in ("sigma_offset", "sigma_drift", "sigma_link", "sigma_meas"):
             v = getattr(self, fname)
             values = v if isinstance(v, tuple) else (v,)
@@ -651,8 +657,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
     it runs again from the block's first calm epoch.  So the flags,
     corrections, log-odds and errors are those of the exact path.
 
-    The Single detector is :func:`~timefuse.baselines.single_update`
-    inlined.  With ``tau == 1.0`` a full window of consecutive epochs
+    An FTA block forms only the reports it guesses are kept, then checks
+    every correction against :func:`~timefuse.baselines.fta_update` in one
+    pass (:func:`~timefuse.baselines.fta_block`).  The Single detector is
+    :func:`~timefuse.baselines.single_update` inlined, on the report of
+    path 0 alone.  With ``tau == 1.0`` a full window of consecutive epochs
     ``e0 ..`` fits on the fixed axis of ``0 ..``: the window's times sum
     to an integer below ``window * n_epochs <= 2**53``, so their ``fsum``
     mean is exactly ``e0 + (window - 1) / 2`` and every centred time is
@@ -711,37 +720,38 @@ def run_scenario(scenario: Scenario) -> RunResult:
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in _blocks(n_epochs):
             clock_noise, link, meas = draw_noise(noise, rngs, hi - lo)
-            w_offset, w_drift = clock_noise.T.tolist()
-            columns = [
-                w_offset,
-                w_drift,
-                schedule.jumps[lo:hi].tolist(),
-                link.tolist(),
-                meas.tolist(),
-                attacks[lo:hi].tolist(),
-            ]
+            jumps = schedule.jumps[lo:hi]
             if kernel is not None:
+                w_offset, w_drift = clock_noise.T.tolist()
+                columns = [w_offset, w_drift, jumps.tolist()]
+                columns += [c.tolist() for c in (link, meas, attacks[lo:hi])]
                 state = ds_block(ds, state, lo, columns, link, meas)
                 offset, correction = state.offset, state.correction
                 np.greater(log_odds[lo:hi], 0.0, out=flags[lo:hi])
             else:
-                block_offsets, block_corrections, block_flags = [], [], []
-                rows = zip(*columns)
-                for epoch, (w_o, w_d, jump, link_row, meas_row, attack_row) in enumerate(rows, lo):
-                    offset = offset + correction + drift * tau + w_o + jump
-                    drift = drift + w_d
-                    x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
-                    if method == "FTA":
-                        correction = fta_update(x)
-                    else:
+                # the true drift before each epoch, added left to right as the loop adds it
+                drifts = np.add.accumulate(np.concatenate(([drift], clock_noise[:, 1])))
+                drift = drifts[-1].item()
+                steps = (drifts[:-1] * tau, clock_noise[:, 0], jumps)
+                if method == "FTA":
+                    out = (true_column[lo:hi], corrections[lo:hi], measured[lo:hi])
+                    paths = (link, meas, attacks[lo:hi])
+                    offset, correction = fta_block(offset, correction, steps, paths, out)
+                else:
+                    block_offsets, block_corrections, block_flags = [], [], []
+                    path0 = (link[:, 0], meas[:, 0], attacks[lo:hi, 0])
+                    rows = zip(*(c.tolist() for c in steps + path0))
+                    for epoch, (drift_tau, w_o, jump, w, v, a) in enumerate(rows, lo):
+                        offset = offset + correction + drift_tau + w_o + jump
+                        x0 = offset + w + v + a
                         prediction = drift_est * tau
-                        flagged = abs(x[0] - prediction) > threshold
+                        flagged = abs(x0 - prediction) > threshold
                         if flagged:
                             correction = -prediction
                         else:
-                            correction = -x[0]
+                            correction = -x0
                             times.append(epoch * tau)
-                            z_history.append(x[0] - cum_correction)
+                            z_history.append(x0 - cum_correction)
                             k = len(times)
                             gap_free = times[-1] - times[0] == k - 1
                             if single_axis is not None and k == window and gap_free:
@@ -750,13 +760,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
                                 drift_est = slope_on_axis(centred_axis(times), z_history)
                         cum_correction += correction
                         block_flags.append(flagged)
-                    block_offsets.append(offset)
-                    block_corrections.append(correction)
-                true_column[lo:hi] = block_offsets
-                corrections[lo:hi] = block_corrections
-                if block_flags:
+                        block_offsets.append(offset)
+                        block_corrections.append(correction)
+                    true_column[lo:hi] = block_offsets
+                    corrections[lo:hi] = block_corrections
                     flags[lo:hi, 0] = block_flags
-                fill_reports(measured[lo:hi], true_column[lo:hi], link, meas, attacks[lo:hi])
+                    fill_reports(measured[lo:hi], true_column[lo:hi], link, meas, attacks[lo:hi])
             # a non-finite offset or correction stays non-finite in every later epoch
             if not (math.isfinite(offset) and math.isfinite(correction)):
                 raise ValueError("clock state must be finite")
@@ -941,18 +950,18 @@ def _count_lines(path: Path) -> int:
 def parse_run_csv(path) -> RunResult:
     """Read a file produced by :func:`write_run_csv` back into a :class:`RunResult`.
 
-    The run's ``scenario`` and ``log_odds`` are ``None``: the file
-    carries neither.  The data rows are counted first and the columns
-    allocated; then ``np.loadtxt`` reads ``_BLOCK_EPOCHS`` rows at a time
-    from the open file, and each block is checked and stored in the
-    columns, so neither the file's text nor a table of all its cells is
-    ever held whole.  The preamble's name, method and path count must
-    pass :class:`Scenario`'s checks.  Each row must have the header's cell count and
-    every cell must be a finite number (``np.loadtxt`` accepts ``nan``
-    and ``inf``, which the writer never produces and which would
-    silently poison the report's statistics); an epoch cell must be an
-    integer and a flag cell must equal 0 or 1 (so ``1.0`` is accepted as
-    a flag).  Empty lines are skipped.  Raises :class:`ValueError` on
+    The run's ``scenario`` and ``log_odds`` are ``None``: the file carries
+    neither.  The data rows are counted first and the columns allocated;
+    then ``np.loadtxt`` reads ``_BLOCK_EPOCHS`` rows at a time from the
+    open file, and each block is checked and stored in the columns, so
+    neither the file's text nor a table of all its cells is ever held
+    whole.  The preamble's name, method, path count, seed, window and tau
+    must pass :class:`Scenario`'s checks.  Each row must have the header's
+    cell count and every cell must be a finite number (``np.loadtxt``
+    accepts ``nan`` and ``inf``, which the writer never produces and which
+    would silently poison the report's statistics); an epoch cell must be
+    an integer and a flag cell must equal 0 or 1 (so ``1.0`` is accepted
+    as a flag).  Empty lines are skipped.  Raises :class:`ValueError` on
     malformed content (the message includes the file name and the row,
     counted over the whole file) and propagates I/O errors unchanged.
     """
@@ -984,15 +993,9 @@ def parse_run_csv(path) -> RunResult:
         if n < 1:
             fail("n_paths must be positive")
         try:
-            method = _check_run(meta["name"], meta["method"], n)
+            method = _check_run(meta["name"], meta["method"], n, seed, window, tau)
         except ScenarioError as exc:
             fail(str(exc))
-        if seed < 0:
-            fail("seed must be non-negative")
-        if window < 2:
-            fail("window_epochs must be at least 2")
-        if not (math.isfinite(tau) and tau > 0.0):
-            fail("tau_s must be positive and finite")
         expected, _, layout = _csv_layout(n)
         if not line:
             fail("missing header row")
