@@ -52,19 +52,19 @@ def test_a_guess_wrong_on_some_epochs_costs_no_bit(n_paths, exact_calls, monkeyp
     kept_order = baselines.fta_kept_order
 
     def wrong_every_seventh(link, meas, attacks):
+        # from a block's first epoch, every seventh keeps the smallest report in place of
+        # the first kept one; from its fourth, every seventh the largest in place of the last
         order = kept_order(link, meas, attacks)
-        # the reports of the smallest and the largest path in place of the first kept ones
         full = np.argsort(link + meas + attacks, axis=1, kind="stable")
         order[::7, 0] = full[::7, 0]
         order[3::7, -1] = full[3::7, -1]
         return order
 
     monkeypatch.setattr(baselines, "fta_kept_order", wrong_every_seventh)
-    scenario = fta_scenario(n_paths, _BLOCK_EPOCHS + 300)
-    assert_engines_agree(scenario)
+    blocks = (_BLOCK_EPOCHS, 300)
+    assert_engines_agree(fta_scenario(n_paths, sum(blocks)))
     # the block redid each epoch whose guess was wrong, and only those
-    wrong = len(range(0, scenario.n_epochs, 7)) + len(range(3, scenario.n_epochs, 7))
-    assert len(exact_calls) == wrong
+    assert len(exact_calls) == sum(len(range(0, b, 7)) + len(range(3, b, 7)) for b in blocks)
 
 
 @pytest.mark.parametrize("n_paths", [3, 4, 6])
@@ -73,11 +73,11 @@ def test_a_guess_wrong_on_every_epoch_costs_no_bit(n_paths, exact_calls, monkeyp
         return np.argsort(link + meas + attacks, axis=1, kind="stable")[:, : n_paths - 2]
 
     monkeypatch.setattr(baselines, "fta_kept_order", the_smallest)
-    scenario = fta_scenario(n_paths, 2 * 140)
+    scenario = fta_scenario(n_paths, 280)
     reference = reference_run(scenario)
     assert_engines_agree(scenario, reference)
-    # every epoch but those whose smallest reports happen to average as the kept ones
-    assert len(exact_calls) >= scenario.n_epochs - 5
+    # no epoch's smallest reports average to the kept ones, so every epoch was redone
+    assert len(exact_calls) == scenario.n_epochs
 
 
 def test_reports_tied_at_zero_take_the_corrections_of_fta_update(exact_calls):
