@@ -51,7 +51,7 @@ class DsRun(NamedTuple):
 
 
 def ds_epochs(run: DsRun, state: DsState, rows):
-    """Run DS epochs from ``state``: ``(state, offsets, corrections, drift_taus, calm, error)``.
+    """Run DS epochs from ``state``: ``(state, offsets, corrections, drift_taus, calm)``.
 
     A row holds one epoch's clock increments, jump, link and measurement
     noise, attacks, and whether it may be calm.  An epoch that may be calm
@@ -59,9 +59,7 @@ def ds_epochs(run: DsRun, state: DsState, rows):
     flag-free epoch with no path in quarantine does, so it needs neither
     the frequency fit nor the quiet test.  Its drift * tau is left at
     ``0.0`` and its index goes into ``calm``, for the caller to fit and
-    check.  Any other epoch takes the exact path.  An arithmetic or value
-    error stops the loop and is returned, with the lists of the epochs
-    before it.
+    check.  Any other epoch takes the exact path.
     """
     tau, window, quarantine = run.tau, run.window, run.quarantine
     time_axis, full_axis = run.time_axis, run.full_axis
@@ -73,63 +71,57 @@ def ds_epochs(run: DsRun, state: DsState, rows):
     quiet_sums = [0.0] * n
     loud_sums = [1.0] * n
     offsets, corrections, drift_taus, calm = [], [], [], []
-    error = None
-    try:
-        for i, (w_o, w_d, jump, link_row, meas_row, attack_row, may_be_calm) in enumerate(rows):
-            offset = offset + correction + drift * tau + w_o + jump
-            drift = drift + w_d
-            if clean and may_be_calm:
-                # the reports' left_sum, as the exact path adds them when it keeps all
-                total = 0.0
-                for w, v, a in zip(link_row, meas_row, attack_row):
-                    total += offset + w + v + a
-                correction = -total / n
-                drift_tau = 0.0
-                calm.append(i)
+    for i, (w_o, w_d, jump, link_row, meas_row, attack_row, may_be_calm) in enumerate(rows):
+        offset = offset + correction + drift * tau + w_o + jump
+        drift = drift + w_d
+        if clean and may_be_calm:
+            # the reports' left_sum, as the exact path adds them when it keeps all
+            total = 0.0
+            for w, v, a in zip(link_row, meas_row, attack_row):
+                total += offset + w + v + a
+            correction = -total / n
+            drift_tau = 0.0
+            calm.append(i)
+        else:
+            # a scenario's bounds keep every report finite, as is_quiet needs
+            x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
+            points = len(z_history)
+            if points == window:
+                drift_est = slope_on_axis(full_axis, z_history)
+            elif points >= 2:
+                drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
             else:
-                # the noise and attack terms are finite, so x is never partly NaN,
-                # which is_quiet needs: a NaN offset makes every report NaN, and an
-                # overflow makes a report infinite
-                x = [offset + w + v + a for w, v, a in zip(link_row, meas_row, attack_row)]
-                points = len(z_history)
-                if points == window:
-                    drift_est = slope_on_axis(full_axis, z_history)
-                elif points >= 2:
-                    drift_est = slope_on_axis(centred_axis(time_axis[:points]), z_history)
-                else:
-                    drift_est = 0.0
-                drift_tau = drift_est * tau
-                if is_quiet(x, drift_tau):
-                    sums = quiet_sums
-                    clean = True
-                elif is_loud(x, drift_tau):
-                    sums = loud_sums
-                    clean = False
-                else:
-                    sums = epoch_sums(x, drift_tau)
-                    clean = max(sums) <= 0.0
-                if sums is quiet_sums and not any(quarantine_left):
-                    kept = x  # what the filter below keeps on a quiet epoch
-                elif sums is loud_sums:
-                    kept = ()  # and on a loud one
-                else:
-                    kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
-                correction = -left_sum(kept) / len(kept) if kept else -drift_tau
-                if quarantine:
-                    quarantine_left = [
-                        quarantine if s > 0.0 else max(q - 1, 0)
-                        for s, q in zip(sums, quarantine_left)
-                    ]
-                    clean = clean and not any(quarantine_left)
-            z_history.append(-correction - cum_correction)
-            cum_correction += correction
-            offsets.append(offset)
-            corrections.append(correction)
-            drift_taus.append(drift_tau)
-    except (ArithmeticError, ValueError) as exc:  # the caller decides whether a calm epoch led here
-        error = exc
+                drift_est = 0.0
+            drift_tau = drift_est * tau
+            if is_quiet(x, drift_tau):
+                sums = quiet_sums
+                clean = True
+            elif is_loud(x, drift_tau):
+                sums = loud_sums
+                clean = False
+            else:
+                sums = epoch_sums(x, drift_tau)
+                clean = max(sums) <= 0.0
+            if sums is quiet_sums and not any(quarantine_left):
+                kept = x  # what the filter below keeps on a quiet epoch
+            elif sums is loud_sums:
+                kept = ()  # and on a loud one
+            else:
+                kept = [o for o, s, q in zip(x, sums, quarantine_left) if not s > 0.0 and not q]
+            correction = -left_sum(kept) / len(kept) if kept else -drift_tau
+            if quarantine:
+                quarantine_left = [
+                    quarantine if s > 0.0 else max(q - 1, 0)
+                    for s, q in zip(sums, quarantine_left)
+                ]
+                clean = clean and not any(quarantine_left)
+        z_history.append(-correction - cum_correction)
+        cum_correction += correction
+        offsets.append(offset)
+        corrections.append(correction)
+        drift_taus.append(drift_tau)
     state = DsState(offset, drift, correction, cum_correction, z_history, quarantine_left, clean)
-    return state, offsets, corrections, drift_taus, calm, error
+    return state, offsets, corrections, drift_taus, calm
 
 
 def steered_offsets(state: DsState, corrections: list) -> tuple:
@@ -165,43 +157,30 @@ def ds_block(run: DsRun, state: DsState, lo: int, columns: list, link, meas) -> 
     while True:
         rows = zip(*(c[start - lo :] for c in columns), may_be_calm[start - lo :])
         before = state
-        state, offsets, pass_corrections, pass_drift_taus, calm, error = ds_epochs(
-            run, before, rows
-        )
-        stop = start + len(offsets)
-        run.true_offsets[start:stop] = offsets
-        run.corrections[start:stop] = pass_corrections
-        drift_taus[start:stop] = pass_drift_taus
+        state, offsets, pass_corrections, pass_drift_taus, calm = ds_epochs(run, before, rows)
+        run.true_offsets[start:hi] = offsets
+        run.corrections[start:hi] = pass_corrections
+        drift_taus[start:hi] = pass_drift_taus
         calm_rows = np.array(calm, dtype=np.int64)
         if calm:
             zs, cums = steered_offsets(before, pass_corrections)
-        if error is None:
-            try:
-                if calm:
-                    # calm epoch i fits the window of the `window` steered offsets before it
-                    starts = calm_rows + (len(before.z_history) - window)
-                    fits = slopes_on_axis(run.full_axis, zs, starts)
-                    drift_taus[start + calm_rows] = fits * run.tau
-                fill_reports(
-                    measured[filled:hi],
-                    run.true_offsets[filled:hi],
-                    link[filled - lo :],
-                    meas[filled - lo :],
-                    attacks[filled:hi],
-                )
-                log_odds[filled:hi] = run.kernel(measured[filled:hi], drift_taus[filled:hi])
-            except (ArithmeticError, ValueError) as exc:
-                error = exc
-        if error is not None:
-            if not calm:
-                raise error
-            k = calm[0]  # the epochs before it took the exact path
-        else:
-            flagged = (log_odds[start + calm_rows] > 0.0).any(axis=1)
-            if not flagged.any():
-                return state
-            k = calm[int(flagged.argmax())]
-            filled = start + k
+            # calm epoch i fits the window of the `window` steered offsets before it
+            starts = calm_rows + (len(before.z_history) - window)
+            fits = slopes_on_axis(run.full_axis, zs, starts)
+            drift_taus[start + calm_rows] = fits * run.tau
+        fill_reports(
+            measured[filled:hi],
+            run.true_offsets[filled:hi],
+            link[filled - lo :],
+            meas[filled - lo :],
+            attacks[filled:hi],
+        )
+        log_odds[filled:hi] = run.kernel(measured[filled:hi], drift_taus[filled:hi])
+        flagged = (log_odds[start + calm_rows] > 0.0).any(axis=1)
+        if not flagged.any():
+            return state
+        k = calm[int(flagged.argmax())]
+        filled = start + k
         # run again on the exact path from calm epoch start + k, with the state
         # the exact path had there: no path in quarantine, and the epoch before clean
         drift = before.drift

@@ -60,8 +60,7 @@ def fta_block(offset, correction, steps, paths, out) -> tuple:
     correction and report columns.  The loop forms only the reports that
     :func:`fta_kept_order` guesses are kept.  One pass then runs
     :func:`fta_update` on every row, and the loop runs again after the first
-    epoch whose correction differs in a bit, from that epoch's exact one.  A
-    block with a non-finite report runs ``fta_update`` epoch by epoch.
+    epoch whose correction differs in a bit, from that epoch's exact one.
     """
     offsets, corrections, reports = out
     n_kept = reports.shape[1] - 2
@@ -70,7 +69,6 @@ def fta_block(offset, correction, steps, paths, out) -> tuple:
     rows = list(zip(*(c.tolist() for c in steps), kept.reshape(len(order), -1).tolist()))
     start = 0
     while True:
-        before = offset, correction
         pass_offsets, pass_corrections = [], []
         for dt, w_o, jump, row in rows[start:]:
             offset = offset + correction + dt + w_o + jump
@@ -85,8 +83,6 @@ def fta_block(offset, correction, steps, paths, out) -> tuple:
             pass_corrections.append(correction)
         offsets[start:], corrections[start:] = pass_offsets, pass_corrections
         fill_reports(reports[start:], offsets[start:], *(c[start:] for c in paths))
-        if not np.isfinite(reports[start:]).all():
-            break
         # fta_update on every row: a stable sort, a fold from +0.0 and Python's max and min
         kept = np.sort(reports[start:], axis=1, kind="stable")[:, 1:-1]
         total = np.zeros(len(kept))
@@ -102,12 +98,6 @@ def fta_block(offset, correction, steps, paths, out) -> tuple:
         offset, correction = offsets[start].item(), fta_update(reports[start].tolist())
         corrections[start] = correction
         start += 1
-    offset, correction = before
-    for k, (dt, w_o, jump, _) in enumerate(rows[start:], start):
-        offsets[k] = offset = offset + correction + dt + w_o + jump
-        fill_reports(reports[k : k + 1], offsets[k : k + 1], *(c[k : k + 1] for c in paths))
-        corrections[k] = correction = fta_update(reports[k].tolist())
-    return offset, correction
 
 
 @dataclass(frozen=True)

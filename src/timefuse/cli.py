@@ -21,6 +21,7 @@ from .harness import (
     EMIT_FORMATS,
     METHODS,
     PRESET_NAMES,
+    RATE_MIN,
     ScenarioError,
     emit,
     format_sweep_table,
@@ -62,8 +63,8 @@ def _positive_int(text: str) -> int:
 
 def _probability(text: str) -> float:
     value = float(text)
-    if not 0.0 < value < 0.5:
-        raise argparse.ArgumentTypeError("must lie in (0, 0.5)")
+    if not RATE_MIN <= value < 0.5:
+        raise argparse.ArgumentTypeError(f"must lie in [{RATE_MIN:g}, 0.5)")
     return value
 
 

@@ -126,6 +126,29 @@ _SCENARIO_KEYS = (
     (None, "attacks", "attack_rules", PeriodicAttackRule),
     (None, "jumps", "jump_rules", PeriodicJumpRule),
 )
+
+#: Bounds that keep every run of a valid scenario finite.  Steering takes
+#: back what the kept reports show and coasting holds the frequency
+#: estimate, so an offset grows only as its terms add up: within about
+#: ``SIGMA_MAX * TAU_MAX * E**1.5`` over ``E`` epochs (the frequency walk)
+#: plus ``MAGNITUDE_MAX * E`` (jumps).  Three paths with every setting at
+#: its bound reach 6e13 s in 2,500 epochs, whose square in ps is far inside
+#: the float range.  ``MAGNITUDE_MAX`` stays above 100 s, an attack the CSV
+#: writes through its row template.  Below about 1e-162 s, a tau's window
+#: of centred times squares to zero.  ``RATE_MIN`` keeps ``1 - p / 2`` below
+#: 1.0, so the detectors' normal quantiles are finite.  A DS cell's log-odds
+#: are ``steepness_log_odds * (r / midpoint - 1)``, with a midpoint above
+#: 1e-178 s (a positive sigma's square is positive, and rates are below
+#: 0.5): at ``STEEPNESS_MAX`` a residual of 1e100 s gives less than 1e281.
+#: ``ATTACK_MIN`` is the CSV's resolution; a smaller attack reads back as none.
+SIGMA_MAX = 1e3
+MAGNITUDE_MAX = 1e3
+TAU_MIN = 1e-6
+TAU_MAX = 1e6
+RATE_MIN = 1e-15
+STEEPNESS_MAX = 1e3
+ATTACK_MIN = 1e-15
+
 _RULE_FIELDS = {
     "paths": "paths",
     "period_s": "float",
@@ -209,8 +232,8 @@ def _check_run(name: str, method: str, n_paths: int, seed: int, window: int, tau
     for value, least, fname in ((seed, 0, "seed"), (window, 2, "window (window_epochs)")):
         if value < least:
             raise ScenarioError(f"{fname}: must be at least {least}")
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ScenarioError("tau (tau_s): must be positive")
+    if not TAU_MIN <= tau <= TAU_MAX:
+        raise ScenarioError(f"tau (tau_s): must lie in [{TAU_MIN:g}, {TAU_MAX:g}] s")
     for m in METHODS:
         if method.upper() == m.upper():
             if m == "FTA" and n_paths < 3:
@@ -260,18 +283,18 @@ class Scenario:
         for fname, least in (("n_epochs", 1), ("quarantine", 0)):
             if getattr(self, fname) < least:
                 raise ScenarioError(f"{fname}: must be at least {least}")
-        if not (math.isfinite(self.steepness_log_odds) and self.steepness_log_odds > 0.0):
-            raise ScenarioError("steepness_log_odds: must be positive")
+        if not 0.0 < self.steepness_log_odds <= STEEPNESS_MAX:
+            raise ScenarioError(f"steepness_log_odds: must lie in (0, {STEEPNESS_MAX:g}]")
         for fname in ("sigma_offset", "sigma_drift", "sigma_link", "sigma_meas"):
             v = getattr(self, fname)
             values = v if isinstance(v, tuple) else (v,)
             if isinstance(v, tuple) and len(v) != self.n_paths:
                 raise ScenarioError(f"{fname}: got {len(v)} values for {self.n_paths} paths")
-            if not all(math.isfinite(s) and s >= 0.0 for s in values):
-                raise ScenarioError(f"{fname}: values must be non-negative")
+            if not all(0.0 <= s <= SIGMA_MAX for s in values):
+                raise ScenarioError(f"{fname}: values must lie in [0, {SIGMA_MAX:g}]")
         for fname in ("p_false_alarm", "p_missed"):
-            if not 0.0 < getattr(self, fname) < 0.5:
-                raise ScenarioError(f"{fname}: must lie in (0, 0.5)")
+            if not RATE_MIN <= getattr(self, fname) < 0.5:
+                raise ScenarioError(f"{fname}: must lie in [{RATE_MIN:g}, 0.5)")
         if not 0.0 <= self.mass_floor < 0.5 < self.mass_ceiling <= 1.0:
             raise ScenarioError(
                 "mass_floor/mass_ceiling: need 0 <= floor < 0.5 < ceiling <= 1"
@@ -281,10 +304,13 @@ class Scenario:
                 raise ScenarioError("attack_rules: rule with no paths")
             if rule.duration_epochs < 1:
                 raise ScenarioError("attack_rules: duration_epochs must be >= 1")
-        for fname in ("attack_rules", "jump_rules"):
+        for fname, least in (("attack_rules", ATTACK_MIN), ("jump_rules", 0.0)):
             for rule in getattr(self, fname):
-                if not (math.isfinite(rule.magnitude_s) and rule.magnitude_s != 0.0):
-                    raise ScenarioError(f"{fname}: magnitude_s must be non-zero")
+                if not (rule.magnitude_s and least <= abs(rule.magnitude_s) <= MAGNITUDE_MAX):
+                    raise ScenarioError(
+                        f"{fname}: magnitude_s must be non-zero and within"
+                        f" ±[{least:g}, {MAGNITUDE_MAX:g}] s"
+                    )
         try:
             schedule_events(
                 self.attack_rules, self.jump_rules, self.n_epochs, self.n_paths, self.tau
@@ -292,20 +318,16 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(f"event rules: {exc}") from exc
         # the detectors calibrate on these sigmas when the run starts
-        try:
-            if self.method == "Single":
-                sigmas = (single_residual_sigma(self.noise()),)
-            elif self.method in VARIANTS:
-                self_sigmas, cross_sigmas = residual_sigmas(self.noise())
-                sigmas = self_sigmas + tuple(cross_sigmas.values())
-            else:
-                sigmas = ()
-        except OverflowError:  # a sigma's square leaves the float range
-            sigmas = (math.inf,)
-        if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
+        if self.method == "Single":
+            sigmas = (single_residual_sigma(self.noise()),)
+        elif self.method in VARIANTS:
+            self_sigmas, cross_sigmas = residual_sigmas(self.noise())
+            sigmas = self_sigmas + tuple(cross_sigmas.values())
+        else:
+            sigmas = ()
+        if not all(s > 0.0 for s in sigmas):
             raise ScenarioError(
-                f"noise: every residual sigma of the {self.method} detector must be"
-                " positive and finite"
+                f"noise: every residual sigma of the {self.method} detector must be positive"
             )
 
     @property
@@ -631,8 +653,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     correction and any scheduled jump, form every path's report, classify
     the paths (method-dependent), and compute the next correction.  The
     loop's per-epoch outputs go into preallocated columns at the end of
-    each block, and a clock that has left the float range is rejected
-    there.  The frequency estimate feeding the fused detector is fit
+    each block.  The frequency estimate feeding the fused detector is fit
     over a window of the accumulated steered offsets from strictly
     earlier epochs.  The DS steering mean adds the kept reports left to
     right in path order (:func:`~timefuse._util.left_sum`); ``np.sum``
@@ -652,10 +673,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     stands if no calm epoch has a positive log-odds: the exact path keeps
     every report of such an epoch too.  Otherwise the rest of the block
     runs again on the exact path from the first calm epoch that has one,
-    with the exact path's state there (:func:`~timefuse._dsloop.ds_block`).  After an
-    error, which a non-finite report or drift * tau raises in the kernel,
-    it runs again from the block's first calm epoch.  So the flags,
-    corrections, log-odds and errors are those of the exact path.
+    with the exact path's state there (:func:`~timefuse._dsloop.ds_block`).
+    So the flags, corrections and log-odds are those of the exact path.
 
     An FTA block forms only the reports it guesses are kept, then checks
     every correction against :func:`~timefuse.baselines.fta_update` in one
@@ -716,7 +735,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     offset = drift = drift_est = correction = cum_correction = 0.0
     z_history: deque = deque(maxlen=window)  # Single: the accepted accumulated offsets
     times: deque = deque(maxlen=window)  # Single: the time of each point in z_history
-    # the kernel rejects a non-finite epoch; numpy's warnings on the way would come first
+    # the quiet bound, computed in the loop, bisects through log-odds that overflow to inf
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in _blocks(n_epochs):
             clock_noise, link, meas = draw_noise(noise, rngs, hi - lo)
@@ -766,9 +785,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     corrections[lo:hi] = block_corrections
                     flags[lo:hi, 0] = block_flags
                     fill_reports(measured[lo:hi], true_column[lo:hi], link, meas, attacks[lo:hi])
-            # a non-finite offset or correction stays non-finite in every later epoch
-            if not (math.isfinite(offset) and math.isfinite(correction)):
-                raise ValueError("clock state must be finite")
     return RunResult(
         name=scenario.name,
         method=method,

@@ -199,10 +199,11 @@ class TestCalibrate:
         assert "midpoint B       = 117.676 ps" in out
         assert "steepness A" in out
 
-    def test_rejects_bad_rate(self, capsys):
-        code, _, _ = run_cli(["calibrate", "--sigma", "38.08", "--pf", "0.7"], capsys)
-        assert code in (1, 2)  # rejected either as usage or as a value error
-        assert code != 0
+    @pytest.mark.parametrize("option, rate", [("--pf", "0.7"), ("--pf", "1e-300"), ("--pm", "1e-300")])
+    def test_rejects_bad_rate(self, option, rate, capsys):
+        code, _, err = run_cli(["calibrate", "--sigma", "38.08", option, rate], capsys)
+        assert code == 1
+        assert "must lie in" in err
 
 
 class TestReport:
@@ -261,6 +262,8 @@ class TestReport:
             "# tau_s=0",
             "# tau_s=-1",
             "# tau_s=inf",
+            "# tau_s=1e-300",
+            "# tau_s=1e300",
             "# seed=-1",
         ],
     )

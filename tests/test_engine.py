@@ -41,7 +41,6 @@ from timefuse import (
     step_clock,
     tdev_curve,
 )
-from timefuse import _dsloop
 from timefuse._util import centred_axis, slope_on_axis, slopes_on_axis, window_sums
 from timefuse.clocksim import ClockState
 from timefuse.fusion import LogOddsKernel, fused_log_odds
@@ -162,13 +161,7 @@ def same_bits(a, b) -> bool:
 
 def assert_engines_agree(scenario, reference=None):
     """``run_scenario`` against ``reference``, by default ``reference_run(scenario)``."""
-    try:
-        records, sync_errors, log_odds, drift_taus = reference or reference_run(scenario)
-    except ValueError as exc:  # a scenario both engines must refuse alike
-        with pytest.raises(type(exc)) as refused:
-            run_scenario(scenario)
-        assert str(refused.value) == str(exc)
-        return
+    records, sync_errors, log_odds, drift_taus = reference or reference_run(scenario)
     result = run_scenario(scenario)
     assert list(result.records) == records
     assert result.flags.tolist() == [[v.flagged for v in r.verdicts] for r in records]
@@ -428,23 +421,16 @@ def test_single_refits_a_window_of_every_other_epoch_at_tau_one_half():
     assert_engines_agree(scenario)
 
 
-def misprediction_scenario(method, quarantine, fatal=False):
+def misprediction_scenario(method, quarantine):
     """A 3-path DS run of two blocks and more whose calm epochs are often flagged.
 
     Its detectors are designed for the default 1 ps/s frequency walk and a
     5 % false-alarm rate; at 20 ps/s the drift estimate lags, so epochs
     with no attack and a clean epoch before them are flagged now and then.
     Path 2 is attacked from three epochs before each block edge to two
-    after it.  ``fatal`` adds opposite attacks near the float range on
-    paths 1 and 3, late in the last block, which no engine can fuse.
+    after it.
     """
     b = _BLOCK_EPOCHS
-    attacks = (PeriodicAttackRule((1,), float(b), float(b - 3), 10e-9, duration_epochs=6),)
-    if fatal:
-        attacks += (
-            PeriodicAttackRule((0,), 1e6, float(2 * b + 200), 1.7e308),
-            PeriodicAttackRule((2,), 1e6, float(2 * b + 200), -1.7e308),
-        )
     return Scenario(
         name="mispredicted",
         n_paths=3,
@@ -454,7 +440,9 @@ def misprediction_scenario(method, quarantine, fatal=False):
         sigma_drift=20e-12,
         p_false_alarm=0.05,
         quarantine=quarantine,
-        attack_rules=attacks,
+        attack_rules=(
+            PeriodicAttackRule((1,), float(b), float(b - 3), 10e-9, duration_epochs=6),
+        ),
     )
 
 
@@ -485,46 +473,3 @@ def test_blocks_with_flagged_calm_epochs_rerun_on_the_exact_path(method, quarant
     reference = reference_run(scenario)
     assert len(flagged_calm_blocks(scenario, reference[0])) >= 2
     assert_engines_agree(scenario, reference)
-    # an error late in a block with calm and mispredicted epochs before it
-    fatal = misprediction_scenario(method, quarantine, fatal=True)
-    with pytest.raises(ValueError, match="residuals must be finite"):
-        reference_run(fatal)
-    assert_engines_agree(fatal)
-
-
-@pytest.mark.parametrize("failure", ["fit", "loop"])
-def test_a_block_that_fails_after_calm_epochs_reruns_on_the_exact_path(failure, monkeypatch):
-    # the block runs again from its first calm epoch, on the exact path only
-    scenario = misprediction_scenario("DS2", 2)
-    is_quiet = LogOddsKernel.is_quiet
-    calls = []
-
-    def counted(self, x, drift_tau):
-        calls.append(None)
-        return is_quiet(self, x, drift_tau)
-
-    monkeypatch.setattr(LogOddsKernel, "is_quiet", counted)
-    expected = run_scenario(scenario)
-    clean_calls = len(calls)
-    calls.clear()
-    if failure == "fit":
-
-        def fit(*args):
-            raise OverflowError("intermediate overflow in fsum")
-
-        monkeypatch.setattr(_dsloop, "slopes_on_axis", fit)
-    else:
-        # the second exact epoch past the warm-up window, which follows calm
-        # epochs, raises the first time it is run
-
-        def flaky(self, x, drift_tau):
-            calls.append(None)
-            if len(calls) == scenario.window + 2:
-                raise ValueError("residuals must be finite")
-            return is_quiet(self, x, drift_tau)
-
-        monkeypatch.setattr(LogOddsKernel, "is_quiet", flaky)
-    result = run_scenario(scenario)
-    assert len(calls) > clean_calls
-    for key in ("true_offsets", "corrections", "measured", "flags", "log_odds", "drift_taus"):
-        assert same_bits(getattr(result, key), getattr(expected, key)), key

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import math
+import re
 from dataclasses import fields, replace
 from functools import reduce
 from operator import add
@@ -90,7 +91,42 @@ BAD_DETECTOR_NOISE = {
         "sigma_link": (0.0, 1e-11, 1e-11),
         "sigma_meas": 0.0,
     },
-    "DS1 sigma overflowing its square": {"method": "DS1", "sigma_link": 1e200},
+}
+
+
+#: Scenarios with a setting past its bound, and the field the rejection
+#: names.  Each passed ``Scenario(...)`` once and then failed its run, or
+#: gave log-odds or a CSV that did not match the run.
+PAST_A_BOUND = {
+    "DS1 sigma overflowing its square": ({"method": "DS1", "sigma_link": 1e200}, "sigma_link"),
+    # the single-path detector coasts through each huge jump, so they add up
+    "Single clock leaving the float range": (
+        {"method": "Single", "jump_rules": (PeriodicJumpRule(1.0, 0.0, 1.7e308),)},
+        "jump_rules: magnitude_s",
+    ),
+    "Single clock leaving the float range over four blocks": (
+        {
+            "method": "Single",
+            "n_epochs": 4 * harness._BLOCK_EPOCHS,
+            "jump_rules": (PeriodicJumpRule(1.0, 0.0, 1.7e308),),
+        },
+        "jump_rules: magnitude_s",
+    ),
+    # DS0 flags every path at the first huge jump and coasts
+    "coasting DS0 clock leaving the float range": (
+        {"method": "DS0", "jump_rules": (PeriodicJumpRule(1.0, 0.0, 1.7e308),)},
+        "jump_rules: magnitude_s",
+    ),
+    "attack below the CSV's resolution": (
+        {"attack_rules": (PeriodicAttackRule((0,), 10.0, 0.0, 1e-16),)},
+        "attack_rules: magnitude_s",
+    ),
+    "tau whose window squares to zero": ({"tau": 1e-170}, "tau"),
+    "tau of 1e300 s": ({"tau": 1e300}, "tau"),
+    "steepness overflowing DS0's log-odds": (
+        {"method": "DS0", "steepness_log_odds": 1.7e308},
+        "steepness_log_odds",
+    ),
 }
 
 
@@ -120,9 +156,13 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="mass_floor"):
             Scenario(name="x", n_paths=3, n_epochs=10, mass_floor=0.6)
 
-    def test_rate_bounds(self):
-        with pytest.raises(ScenarioError, match="p_false_alarm"):
-            Scenario(name="x", n_paths=3, n_epochs=10, p_false_alarm=0.5)
+    @pytest.mark.parametrize(
+        "fname, rate", [("p_false_alarm", 0.5), ("p_false_alarm", 1e-300), ("p_missed", 1e-300)]
+    )
+    def test_rate_bounds(self, fname, rate):
+        # a rate below RATE_MIN has no finite normal quantile at 1 - rate / 2
+        with pytest.raises(ScenarioError, match=fname):
+            Scenario(name="x", n_paths=3, n_epochs=10, **{fname: rate})
 
     def test_window_bounds(self):
         with pytest.raises(ScenarioError, match="window"):
@@ -161,6 +201,12 @@ class TestScenarioValidation:
     def test_detector_noise_is_checked_at_construction(self, case):
         with pytest.raises(ScenarioError, match="noise: .*sigma"):
             Scenario(name="x", n_paths=3, n_epochs=40, **BAD_DETECTOR_NOISE[case])
+
+    @pytest.mark.parametrize("case", sorted(PAST_A_BOUND))
+    def test_a_setting_past_its_bound_is_rejected_at_construction(self, case):
+        change, message = PAST_A_BOUND[case]
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            Scenario(**{"name": "x", "n_paths": 3, "n_epochs": 40, **change})
 
     @pytest.mark.parametrize("method", ["DS2", "Single"])
     def test_one_quiet_path_is_enough_noise_for_a_detector(self, method):
@@ -348,51 +394,6 @@ class TestRunScenario:
             if v.flagged
         }
         assert flagged and all(path == 0 for _, path in flagged)
-
-    def test_clock_leaving_the_float_range_is_an_error(self):
-        # the single-path detector coasts through each huge jump, so they add up
-        sc = Scenario(
-            name="blowup",
-            n_paths=3,
-            n_epochs=10,
-            method="Single",
-            jump_rules=(PeriodicJumpRule(1.0, 0.0, 1.7e308),),
-        )
-        with pytest.raises(ValueError, match="finite"):
-            run_scenario(sc)
-
-    def test_a_clock_leaving_the_float_range_fails_in_its_first_block(self, monkeypatch):
-        sc = Scenario(
-            name="blowup",
-            n_paths=3,
-            n_epochs=4 * harness._BLOCK_EPOCHS,
-            method="Single",
-            jump_rules=(PeriodicJumpRule(1.0, 0.0, 1.7e308),),
-        )
-        drawn = []
-
-        def draw_noise(noise, rngs, n_epochs):
-            drawn.append(n_epochs)
-            return clocksim.draw_noise(noise, rngs, n_epochs)
-
-        monkeypatch.setattr(harness, "draw_noise", draw_noise)
-        with pytest.raises(ValueError, match="clock state must be finite"):
-            run_scenario(sc)
-        assert drawn == [harness._BLOCK_EPOCHS]
-
-    def test_a_coasting_ds0_clock_leaving_the_float_range_is_an_error(self):
-        # DS0 flags every path at the first huge jump and coasts, so the jumps
-        # add up; infinite reports are never loud, so the evidence kernel sees
-        # them and rejects them, with no numpy warning about inf - inf first
-        sc = Scenario(
-            name="blowup",
-            n_paths=3,
-            n_epochs=10,
-            method="DS0",
-            jump_rules=(PeriodicJumpRule(1.0, 0.0, 1.7e308),),
-        )
-        with pytest.raises(ValueError, match="residuals must be finite"):
-            run_scenario(sc)
 
     def test_short_run_has_no_deviation_curve(self):
         sc = Scenario(name="blip", n_paths=3, n_epochs=5, method="FTA")

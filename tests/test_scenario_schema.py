@@ -5,7 +5,9 @@ import hashlib
 import json
 import math
 import re
+import tempfile
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +17,23 @@ from hypothesis import strategies as st
 from timefuse import PeriodicAttackRule, PeriodicJumpRule, Scenario, ScenarioError
 from timefuse.harness import (
     _SCENARIO_KEYS,
+    ATTACK_MIN,
+    MAGNITUDE_MAX,
     METHODS,
     PRESET_NAMES,
+    RATE_MIN,
+    SIGMA_MAX,
+    STEEPNESS_MAX,
+    TAU_MAX,
+    TAU_MIN,
+    parse_run_csv,
     preset,
     run_csv_text,
     run_scenario,
     scenario_from_dict,
     scenario_from_json,
     scenario_to_json,
+    write_run_csv,
 )
 
 #: A valid scenario file with one rule of each kind.
@@ -204,9 +215,59 @@ def not_a_number(value):
     return isinstance(value, bool) or not isinstance(value, (int, float))
 
 
+#: Each range bound of a setting and the next double past it, in both signs.
+BOUND_VALUES = sorted(
+    {
+        sign * v
+        for low, high in (
+            (TAU_MIN, TAU_MAX),
+            (RATE_MIN, 0.5),
+            (0.0, SIGMA_MAX),
+            (ATTACK_MIN, MAGNITUDE_MAX),
+            (0.0, STEEPNESS_MAX),
+        )
+        for v in (low, math.nextafter(low, -math.inf), high, math.nextafter(high, math.inf))
+        for sign in (1.0, -1.0)
+    }
+)
+
+#: The columns of a run that hold offsets, in seconds.
+OFFSET_COLUMNS = ("true_offsets", "corrections", "measured", "attacks")
+
+#: Epochs a loaded scenario runs for.
+RUN_EPOCHS = 200
+
+
+def assert_runs_and_reads_back(sc):
+    """``sc`` runs to finite columns, and its CSV reads back.
+
+    pytest turns warnings into errors, so the run must also raise no
+    numpy warning.  Epochs, flags and counts read back equal; an offset
+    reads back within the CSV's resolution of 0.0005 ps and the rounding
+    of its conversions to picoseconds and back.
+    """
+    run = run_scenario(sc)
+    columns = OFFSET_COLUMNS + (() if run.log_odds is None else ("log_odds", "drift_taus"))
+    for key in columns:
+        assert np.isfinite(getattr(run, key)).all(), key
+    with tempfile.TemporaryDirectory() as tmp:
+        back = parse_run_csv(write_run_csv(run, Path(tmp) / "run.csv"))
+    assert np.array_equal(back.epochs, run.epochs)
+    assert np.array_equal(back.flags, run.flags)
+    assert back.counts == run.counts and back.path_counts == run.path_counts
+    for key in OFFSET_COLUMNS:
+        want = getattr(run, key)
+        slack = 0.5e-15 + 4.0 * np.spacing(np.abs(want))
+        assert (np.abs(getattr(back, key) - want) <= slack).all(), key
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data(), st.sampled_from(PRESET_NAMES), st.sampled_from(METHODS))
 def test_a_preset_with_one_value_replaced_loads_back_or_is_rejected(data, name, method):
+    """A preset with one value replaced loads back, runs and writes a CSV that reads back.
+
+    Or it is rejected, with a :class:`ScenarioError`.
+    """
     tree = preset(name, method=method).to_dict()
     path = data.draw(st.sampled_from(list(leaves(tree))))
     if path[-1] in SIZE_KEYS:
@@ -218,7 +279,7 @@ def test_a_preset_with_one_value_replaced_loads_back_or_is_rejected(data, name, 
             | json_values().filter(not_a_number)
         )
     else:
-        value = data.draw(json_values())
+        value = data.draw(json_values() | st.sampled_from(BOUND_VALUES))
     place = tree
     for key in path[:-1]:
         place = place[key]
@@ -232,3 +293,29 @@ def test_a_preset_with_one_value_replaced_loads_back_or_is_rejected(data, name, 
     again = scenario_from_json(text)
     assert again == sc and scenario_to_json(again) == text
     assert json.loads(text) == sc.to_dict()
+    assert_runs_and_reads_back(replace(sc, n_epochs=min(sc.n_epochs, RUN_EPOCHS)))
+
+
+@pytest.mark.parametrize("tau", [TAU_MIN, TAU_MAX])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_run_with_every_setting_at_its_bound_runs_and_reads_back(method, tau):
+    # paths 1 and 2 attacked at the largest magnitudes, path 3 at the smallest,
+    # every other epoch, and the clock jumping at the largest in between
+    attacks = ((0, MAGNITUDE_MAX), (1, -MAGNITUDE_MAX), (2, ATTACK_MIN))
+    sc = Scenario(
+        name="bounds",
+        n_paths=3,
+        n_epochs=2500,
+        method=method,
+        tau=tau,
+        sigma_offset=SIGMA_MAX,
+        sigma_drift=SIGMA_MAX,
+        sigma_link=SIGMA_MAX,
+        sigma_meas=SIGMA_MAX,
+        attack_rules=tuple(PeriodicAttackRule((p,), 2 * tau, 0.0, m) for p, m in attacks),
+        jump_rules=(PeriodicJumpRule(2 * tau, tau, MAGNITUDE_MAX),),
+        p_false_alarm=RATE_MIN,
+        p_missed=RATE_MIN,
+        steepness_log_odds=STEEPNESS_MAX,
+    )
+    assert_runs_and_reads_back(sc)
