@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ._util import centred_axis, left_sum, slope_on_axis, slopes_on_axis
-from .clocksim import EventSchedule
 from .fusion import LogOddsKernel
 
 
@@ -25,7 +24,6 @@ class DsState(NamedTuple):
     """The DS loop's state between two epochs."""
 
     offset: float  # the true clock offset
-    drift: float  # the true clock drift
     correction: float  # the last epoch's correction
     cum_correction: float  # every correction so far, added left to right
     z_history: deque  # the last ``window`` steered offsets, for the frequency fit
@@ -34,7 +32,7 @@ class DsState(NamedTuple):
 
 
 class DsRun(NamedTuple):
-    """What the blocks of one DS run share: its kernel, settings, schedule and output columns."""
+    """What the blocks of one DS run share: its kernel and settings."""
 
     kernel: LogOddsKernel
     tau: float
@@ -42,38 +40,31 @@ class DsRun(NamedTuple):
     time_axis: list  # the times of a window, from 0.0
     full_axis: tuple  # centred_axis(time_axis) of a full window, or None
     quarantine: int
-    schedule: EventSchedule
-    true_offsets: np.ndarray
-    corrections: np.ndarray
-    measured: np.ndarray
-    drift_taus: np.ndarray
-    log_odds: np.ndarray
 
 
 def ds_epochs(run: DsRun, state: DsState, rows):
     """Run DS epochs from ``state``: ``(state, offsets, corrections, drift_taus, calm)``.
 
-    A row holds one epoch's clock increments, jump, link and measurement
-    noise, attacks, and whether it may be calm.  An epoch that may be calm
-    and follows a clean one is *calm*: it keeps every report, as a
-    flag-free epoch with no path in quarantine does, so it needs neither
-    the frequency fit nor the quiet test.  Its drift * tau is left at
-    ``0.0`` and its index goes into ``calm``, for the caller to fit and
+    A row holds one epoch's true drift * tau, clock noise, jump, link and
+    measurement noise, attacks, and whether it may be calm.  An epoch that
+    may be calm and follows a clean one is *calm*: it keeps every report,
+    as a flag-free epoch with no path in quarantine does, so it needs
+    neither the frequency fit nor the quiet test.  Its drift * tau is left
+    at ``0.0`` and its index goes into ``calm``, for the caller to fit and
     check.  Any other epoch takes the exact path.
     """
     tau, window, quarantine = run.tau, run.window, run.quarantine
     time_axis, full_axis = run.time_axis, run.full_axis
     is_quiet, is_loud, epoch_sums = run.kernel.is_quiet, run.kernel.is_loud, run.kernel.epoch_sums
     n = run.kernel.n
-    offset, drift, correction, cum_correction, z_history, quarantine_left, clean = state
+    offset, correction, cum_correction, z_history, quarantine_left, clean = state
     z_history = deque(z_history, maxlen=window)  # the caller may restart from ``state``
     # stand in for the unknown row sums of a quiet (all <= 0) or loud (all > 0) epoch
     quiet_sums = [0.0] * n
     loud_sums = [1.0] * n
     offsets, corrections, drift_taus, calm = [], [], [], []
-    for i, (w_o, w_d, jump, link_row, meas_row, attack_row, may_be_calm) in enumerate(rows):
-        offset = offset + correction + drift * tau + w_o + jump
-        drift = drift + w_d
+    for i, (dt, w_o, jump, link_row, meas_row, attack_row, may_be_calm) in enumerate(rows):
+        offset = offset + correction + dt + w_o + jump
         if clean and may_be_calm:
             # the reports' left_sum, as the exact path adds them when it keeps all
             total = 0.0
@@ -120,7 +111,7 @@ def ds_epochs(run: DsRun, state: DsState, rows):
         offsets.append(offset)
         corrections.append(correction)
         drift_taus.append(drift_tau)
-    state = DsState(offset, drift, correction, cum_correction, z_history, quarantine_left, clean)
+    state = DsState(offset, correction, cum_correction, z_history, quarantine_left, clean)
     return state, offsets, corrections, drift_taus, calm
 
 
@@ -137,30 +128,27 @@ def steered_offsets(state: DsState, corrections: list) -> tuple:
     return np.concatenate((np.array(state.z_history, dtype=float), -c - cums[:-1])), cums
 
 
-def ds_block(run: DsRun, state: DsState, lo: int, columns: list, link, meas) -> DsState:
-    """Run the DS epochs of the block from ``lo`` and fill their columns; return the state after.
+def ds_block(run: DsRun, state: DsState, lo: int, steps, paths, out) -> DsState:
+    """Run one block of DS epochs, from epoch ``lo``, into ``out``; return the state after it.
 
-    ``columns`` holds the block's clock increments, jumps, link and
-    measurement noise and attacks as lists, in the order of a row of
-    :func:`ds_epochs`; ``link`` and ``meas`` are the block's noise arrays.
+    ``steps``, ``paths`` and ``out`` are those of
+    :func:`~timefuse.baselines.fta_block`, and ``out`` holds the block's
+    drift * tau and log-odds columns after its flags.
     """
-    hi = lo + len(link)
+    offsets, corrections, measured, flags, drift_taus, log_odds = out
     window = run.window
-    attacks = run.schedule.attacks
-    measured, drift_taus, log_odds = run.measured, run.drift_taus, run.log_odds
+    jumps, attacks = steps[2], paths[2]
     may_be_calm = (
-        (np.arange(lo, hi) >= window)
-        & (run.schedule.jumps[lo:hi] == 0.0)
-        & ~attacks[lo:hi].any(axis=1)
+        (np.arange(lo, lo + len(jumps)) >= window) & (jumps == 0.0) & ~attacks.any(axis=1)
     ).tolist()
-    start = filled = lo  # the pass starts at `start`; rows before `filled` are final
+    columns = [c.tolist() for c in steps + paths]
+    start = filled = 0  # the pass starts at `start`; rows before `filled` are final
     while True:
-        rows = zip(*(c[start - lo :] for c in columns), may_be_calm[start - lo :])
+        rows = zip(*(c[start:] for c in columns), may_be_calm[start:])
         before = state
-        state, offsets, pass_corrections, pass_drift_taus, calm = ds_epochs(run, before, rows)
-        run.true_offsets[start:hi] = offsets
-        run.corrections[start:hi] = pass_corrections
-        drift_taus[start:hi] = pass_drift_taus
+        state, pass_offsets, pass_corrections, pass_drift_taus, calm = ds_epochs(run, before, rows)
+        offsets[start:], corrections[start:] = pass_offsets, pass_corrections
+        drift_taus[start:] = pass_drift_taus
         calm_rows = np.array(calm, dtype=np.int64)
         if calm:
             zs, cums = steered_offsets(before, pass_corrections)
@@ -168,35 +156,26 @@ def ds_block(run: DsRun, state: DsState, lo: int, columns: list, link, meas) -> 
             starts = calm_rows + (len(before.z_history) - window)
             fits = slopes_on_axis(run.full_axis, zs, starts)
             drift_taus[start + calm_rows] = fits * run.tau
-        fill_reports(
-            measured[filled:hi],
-            run.true_offsets[filled:hi],
-            link[filled - lo :],
-            meas[filled - lo :],
-            attacks[filled:hi],
-        )
-        log_odds[filled:hi] = run.kernel(measured[filled:hi], drift_taus[filled:hi])
+        fill_reports(measured[filled:], offsets[filled:], *(c[filled:] for c in paths))
+        log_odds[filled:] = run.kernel(measured[filled:], drift_taus[filled:])
         flagged = (log_odds[start + calm_rows] > 0.0).any(axis=1)
         if not flagged.any():
+            np.greater(log_odds, 0.0, out=flags)
             return state
         k = calm[int(flagged.argmax())]
         filled = start + k
-        # run again on the exact path from calm epoch start + k, with the state
+        # run again on the exact path from calm epoch `filled`, with the state
         # the exact path had there: no path in quarantine, and the epoch before clean
-        drift = before.drift
-        for w_d in columns[1][start - lo : start - lo + k]:
-            drift = drift + w_d
         state = DsState(
-            offsets[k - 1] if k else before.offset,
-            drift,
-            pass_corrections[k - 1] if k else before.correction,
+            offsets[filled - 1].item() if k else before.offset,
+            corrections[filled - 1].item() if k else before.correction,
             cums[k].item(),
             deque(zs[: len(before.z_history) + k].tolist(), maxlen=window),
             [0] * run.kernel.n,
             True,
         )
-        start += k
-        may_be_calm = [False] * (hi - lo)
+        start = filled
+        may_be_calm = [False] * len(may_be_calm)
 
 
 def fill_reports(out, true_offsets, link, meas, attacks) -> None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ._dsloop import fill_reports
-from ._util import left_sum, ols_slope
+from ._util import centred_axis, left_sum, ols_slope, slope_on_axis
 from .clocksim import NoiseConfig
 from .evidence import threshold_for_false_alarm
 
@@ -52,17 +52,20 @@ def fta_kept_order(link, meas, attacks) -> np.ndarray:
     return np.argsort(link + meas + attacks, axis=1, kind="stable")[:, 1:-1]
 
 
-def fta_block(offset, correction, steps, paths, out) -> tuple:
+def fta_block(state, lo, steps, paths, out) -> tuple:
     """Run one block of FTA epochs into ``out``; return ``(offset, correction)`` after it.
 
-    ``steps`` holds the block's drift * tau, clock noise and jumps, ``paths``
-    its link noise, measurement noise and attacks, and ``out`` its offset,
-    correction and report columns.  The loop forms only the reports that
+    ``state`` is ``(offset, correction)`` before the block, whose first
+    epoch is ``lo``.  ``steps`` holds the block's true drift * tau, clock
+    noise and jumps, ``paths`` its link noise, measurement noise and
+    attacks, and ``out`` its offset, correction, report and flag columns;
+    FTA flags no path.  The loop forms only the reports that
     :func:`fta_kept_order` guesses are kept.  One pass then runs
     :func:`fta_update` on every row, and the loop runs again after the first
     epoch whose correction differs in a bit, from that epoch's exact one.
     """
-    offsets, corrections, reports = out
+    offset, correction = state
+    offsets, corrections, reports, _ = out
     n_kept = reports.shape[1] - 2
     order = fta_kept_order(*paths)
     kept = np.stack([np.take_along_axis(c, order, axis=1) for c in paths], axis=2)
@@ -186,3 +189,48 @@ def single_update(
             epoch=state.epoch + 1,
         ),
     )
+
+
+def single_block(threshold, tau, axis, state, lo, steps, paths, out) -> tuple:
+    """Run one block of Single epochs into ``out``; return the state after it.
+
+    This is :func:`single_update` inlined, on path 0's report alone, with
+    ``steps``, ``paths`` and ``out`` as in :func:`fta_block`.  ``state``
+    is ``(offset, correction, drift_est, cum_correction, z_history, times)``:
+    the detector's window of accepted accumulated offsets and their times
+    are two deques bounded at ``window`` points.  ``axis`` is
+    ``centred_axis`` of ``0 .. window - 1``, or ``None``.  The caller
+    passes it only when ``tau == 1.0`` and ``window * n_epochs <= 2**53``:
+    then a full window of consecutive epochs ``e0 ..`` has times that sum
+    to an integer below ``2**53``, so their ``fsum`` mean is exactly
+    ``e0 + (window - 1) / 2`` and every centred time is exact, the same
+    double as on the fixed axis.
+    """
+    offset, correction, drift_est, cum_correction, z_history, times = state
+    offsets, corrections, reports, flags = out
+    block_offsets, block_corrections, block_flags = [], [], []
+    rows = zip(*(c.tolist() for c in steps + tuple(c[:, 0] for c in paths)))
+    for epoch, (dt, w_o, jump, w, v, a) in enumerate(rows, lo):
+        offset = offset + correction + dt + w_o + jump
+        x0 = offset + w + v + a
+        prediction = drift_est * tau
+        flagged = abs(x0 - prediction) > threshold
+        if flagged:
+            correction = -prediction
+        else:
+            correction = -x0
+            times.append(epoch * tau)
+            z_history.append(x0 - cum_correction)
+            k = len(times)
+            gap_free = times[-1] - times[0] == k - 1
+            if axis is not None and k == times.maxlen and gap_free:
+                drift_est = slope_on_axis(axis, z_history)
+            elif k >= 2:
+                drift_est = slope_on_axis(centred_axis(times), z_history)
+        cum_correction += correction
+        block_flags.append(flagged)
+        block_offsets.append(offset)
+        block_corrections.append(correction)
+    offsets[:], corrections[:], flags[:, 0] = block_offsets, block_corrections, block_flags
+    fill_reports(reports, offsets, *paths)
+    return offset, correction, drift_est, cum_correction, z_history, times

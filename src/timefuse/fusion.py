@@ -368,16 +368,17 @@ class LogOddsKernel:
             return bool(np.maximum.reduce(self._clipped_sums(scratch), axis=None) <= 0.0)
 
         lo, hi = 0, _INF_BITS
-        if not quiet(lo):
-            return -math.inf
-        if quiet(hi):
-            return sys.float_info.max
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if quiet(mid):
-                lo = mid
-            else:
-                hi = mid
+        with np.errstate(over="ignore"):  # huge residuals overflow to inf, as in the kernel
+            if not quiet(lo):
+                return -math.inf
+            if quiet(hi):
+                return sys.float_info.max
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if quiet(mid):
+                    lo = mid
+                else:
+                    hi = mid
         return _double(lo)
 
     @cached_property

@@ -19,6 +19,7 @@ file headers and tables.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import json
@@ -36,9 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from ._csvrows import RowKernel
-from ._dsloop import DsRun, DsState, ds_block, fill_reports
-from ._util import centred_axis, logistic, slope_on_axis
-from .baselines import fta_block, single_residual_sigma
+from ._dsloop import DsRun, DsState, ds_block
+from ._util import centred_axis, logistic
+from .baselines import fta_block, single_block, single_residual_sigma
 from .clocksim import (
     EventSchedule,
     NoiseConfig,
@@ -651,40 +652,29 @@ def run_scenario(scenario: Scenario) -> RunResult:
     schedule is expanded up front, so an epoch only does what depends on
     the previous epoch's correction: advance the true clock with that
     correction and any scheduled jump, form every path's report, classify
-    the paths (method-dependent), and compute the next correction.  The
-    loop's per-epoch outputs go into preallocated columns at the end of
-    each block.  The frequency estimate feeding the fused detector is fit
-    over a window of the accumulated steered offsets from strictly
-    earlier epochs.  The DS steering mean adds the kept reports left to
-    right in path order (:func:`~timefuse._util.left_sum`); ``np.sum``
-    would reorder the additions.
+    the paths (method-dependent), and compute the next correction.  Each
+    epoch's true drift * tau comes from one ``np.add.accumulate`` of the
+    block's frequency increments, which adds left to right as a scalar
+    loop would.
 
-    A DS epoch is *calm* when it is past the warm-up window, has no
-    attack on any path and no clock jump, no path is in quarantine and
-    the epoch before flagged no path.  A calm epoch is steered by the
-    mean of all its reports, with no frequency fit and no quiet test
-    (:func:`~timefuse._dsloop.ds_epochs`).  Every other DS epoch that
-    :meth:`~timefuse.fusion.LogOddsKernel.is_quiet` proves flag-free, or
-    :meth:`~timefuse.fusion.LogOddsKernel.is_loud` proves all-flagged,
-    skips the evidence kernel.  After each block, one vectorised pass
-    fits the calm epochs' drift * tau exactly
-    (:func:`~timefuse._util.slopes_on_axis`), builds the block's reports
-    and runs the kernel over the block for its fused log-odds.  The block
-    stands if no calm epoch has a positive log-odds: the exact path keeps
-    every report of such an epoch too.  Otherwise the rest of the block
-    runs again on the exact path from the first calm epoch that has one,
-    with the exact path's state there (:func:`~timefuse._dsloop.ds_block`).
-    So the flags, corrections and log-odds are those of the exact path.
+    Every method runs a block through one call, ``state = step(state, lo,
+    steps, paths, out)``: :func:`~timefuse._dsloop.ds_block`,
+    :func:`~timefuse.baselines.fta_block` or
+    :func:`~timefuse.baselines.single_block`.  ``state`` is what the
+    method carries from one epoch to the next and ``lo`` the block's first
+    epoch.  ``steps`` holds the block's true drift * tau, clock noise and
+    jumps, ``paths`` its link noise, measurement noise and attacks, and
+    ``out`` its slices of the run's offset, correction, report and flag
+    columns, then for DS its drift * tau and log-odds columns.
 
-    An FTA block forms only the reports it guesses are kept, then checks
-    every correction against :func:`~timefuse.baselines.fta_update` in one
-    pass (:func:`~timefuse.baselines.fta_block`).  The Single detector is
-    :func:`~timefuse.baselines.single_update` inlined, on the report of
-    path 0 alone.  With ``tau == 1.0`` a full window of consecutive epochs
-    ``e0 ..`` fits on the fixed axis of ``0 ..``: the window's times sum
-    to an integer below ``window * n_epochs <= 2**53``, so their ``fsum``
-    mean is exactly ``e0 + (window - 1) / 2`` and every centred time is
-    exact, the same double as on the fixed axis.
+    The fused detector fits the frequency over a window of the
+    accumulated steered offsets from strictly earlier epochs.  A DS block
+    steers its *calm* epochs by the mean of all their reports, checks them
+    in one vectorised pass after the block and runs the rest of the block
+    again on the exact path from the first one the kernel flags; an FTA
+    block forms only the reports it guesses are kept and checks every
+    correction against :func:`~timefuse.baselines.fta_update`.  So every
+    method's flags, corrections and log-odds are those of its exact path.
     """
     n = scenario.n_paths
     n_epochs = scenario.n_epochs
@@ -693,98 +683,45 @@ def run_scenario(scenario: Scenario) -> RunResult:
     method = scenario.method
     noise = scenario.noise()
     schedule = scenario.schedule()
-    kernel = LogOddsKernel(scenario.calibrations(), method) if method in VARIANTS else None
-    threshold = (
-        threshold_for_false_alarm(
-            single_residual_sigma(noise), scenario.p_false_alarm, scenario.two_sided
-        )
-        if method == "Single"
-        else None
-    )
     rngs = RngStreams(scenario.seed, n)
     attacks = schedule.attacks
     time_axis = [k * tau for k in range(min(window, n_epochs))]
     full_axis = centred_axis(time_axis) if len(time_axis) == window else None
-    single_axis = full_axis if tau == 1.0 and window * n_epochs <= 2**53 else None
 
     true_column = np.empty(n_epochs)
     corrections = np.empty(n_epochs)
     measured = np.empty((n_epochs, n))
     flags = np.zeros((n_epochs, n), dtype=bool)
-    if kernel is not None:
+    columns = (true_column, corrections, measured, flags)
+    drift_taus = log_odds = None
+    if method in VARIANTS:
         drift_taus = np.empty(n_epochs)
         log_odds = np.empty((n_epochs, n))
-        ds = DsRun(
-            kernel,
-            tau,
-            window,
-            time_axis,
-            full_axis,
-            scenario.quarantine,
-            schedule,
-            true_column,
-            corrections,
-            measured,
-            drift_taus,
-            log_odds,
-        )
-        state = DsState(0.0, 0.0, 0.0, 0.0, deque(), [0] * n, True)
+        columns += (drift_taus, log_odds)
+        kernel = LogOddsKernel(scenario.calibrations(), method)
+        ds = DsRun(kernel, tau, window, time_axis, full_axis, scenario.quarantine)
+        step = functools.partial(ds_block, ds)
+        state = DsState(0.0, 0.0, 0.0, deque(), [0] * n, True)
+    elif method == "FTA":
+        step, state = fta_block, (0.0, 0.0)
     else:
-        drift_taus = log_odds = None
+        sigma = single_residual_sigma(noise)
+        threshold = threshold_for_false_alarm(sigma, scenario.p_false_alarm, scenario.two_sided)
+        axis = full_axis if tau == 1.0 and window * n_epochs <= 2**53 else None
+        step = functools.partial(single_block, threshold, tau, axis)
+        state = (0.0, 0.0, 0.0, 0.0, deque(maxlen=window), deque(maxlen=window))
 
-    offset = drift = drift_est = correction = cum_correction = 0.0
-    z_history: deque = deque(maxlen=window)  # Single: the accepted accumulated offsets
-    times: deque = deque(maxlen=window)  # Single: the time of each point in z_history
-    # the quiet bound, computed in the loop, bisects through log-odds that overflow to inf
+    drift = 0.0
+    # epoch_sums, called in the DS loop, leaves numpy's error state to its caller
     with np.errstate(invalid="ignore", over="ignore"):
         for lo, hi in _blocks(n_epochs):
             clock_noise, link, meas = draw_noise(noise, rngs, hi - lo)
-            jumps = schedule.jumps[lo:hi]
-            if kernel is not None:
-                w_offset, w_drift = clock_noise.T.tolist()
-                columns = [w_offset, w_drift, jumps.tolist()]
-                columns += [c.tolist() for c in (link, meas, attacks[lo:hi])]
-                state = ds_block(ds, state, lo, columns, link, meas)
-                offset, correction = state.offset, state.correction
-                np.greater(log_odds[lo:hi], 0.0, out=flags[lo:hi])
-            else:
-                # the true drift before each epoch, added left to right as the loop adds it
-                drifts = np.add.accumulate(np.concatenate(([drift], clock_noise[:, 1])))
-                drift = drifts[-1].item()
-                steps = (drifts[:-1] * tau, clock_noise[:, 0], jumps)
-                if method == "FTA":
-                    out = (true_column[lo:hi], corrections[lo:hi], measured[lo:hi])
-                    paths = (link, meas, attacks[lo:hi])
-                    offset, correction = fta_block(offset, correction, steps, paths, out)
-                else:
-                    block_offsets, block_corrections, block_flags = [], [], []
-                    path0 = (link[:, 0], meas[:, 0], attacks[lo:hi, 0])
-                    rows = zip(*(c.tolist() for c in steps + path0))
-                    for epoch, (drift_tau, w_o, jump, w, v, a) in enumerate(rows, lo):
-                        offset = offset + correction + drift_tau + w_o + jump
-                        x0 = offset + w + v + a
-                        prediction = drift_est * tau
-                        flagged = abs(x0 - prediction) > threshold
-                        if flagged:
-                            correction = -prediction
-                        else:
-                            correction = -x0
-                            times.append(epoch * tau)
-                            z_history.append(x0 - cum_correction)
-                            k = len(times)
-                            gap_free = times[-1] - times[0] == k - 1
-                            if single_axis is not None and k == window and gap_free:
-                                drift_est = slope_on_axis(single_axis, z_history)
-                            elif k >= 2:
-                                drift_est = slope_on_axis(centred_axis(times), z_history)
-                        cum_correction += correction
-                        block_flags.append(flagged)
-                        block_offsets.append(offset)
-                        block_corrections.append(correction)
-                    true_column[lo:hi] = block_offsets
-                    corrections[lo:hi] = block_corrections
-                    flags[lo:hi, 0] = block_flags
-                    fill_reports(measured[lo:hi], true_column[lo:hi], link, meas, attacks[lo:hi])
+            # the true drift before each epoch, added left to right as a scalar loop adds it
+            drifts = np.add.accumulate(np.concatenate(([drift], clock_noise[:, 1])))
+            drift = drifts[-1].item()
+            steps = (drifts[:-1] * tau, clock_noise[:, 0], schedule.jumps[lo:hi])
+            paths = (link, meas, attacks[lo:hi])
+            state = step(state, lo, steps, paths, tuple(c[lo:hi] for c in columns))
     return RunResult(
         name=scenario.name,
         method=method,
@@ -1006,8 +943,6 @@ def parse_run_csv(path) -> RunResult:
             tau = float(meta["tau_s"])
         except ValueError:
             fail("non-numeric preamble value")
-        if n < 1:
-            fail("n_paths must be positive")
         try:
             method = _check_run(meta["name"], meta["method"], n, seed, window, tau)
         except ScenarioError as exc:

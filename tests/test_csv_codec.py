@@ -371,7 +371,7 @@ def test_a_preamble_without_paths_is_rejected(n_paths, good_lines, tmp_path):
     lines = [
         f"# n_paths={n_paths}" if line.startswith("# n_paths=") else line for line in good_lines
     ]
-    with pytest.raises(ValueError, match="n_paths must be positive"):
+    with pytest.raises(ValueError, match="n_paths: need at least 2"):
         parse_run_csv(write_lines(tmp_path / "bad.csv", lines))
 
 

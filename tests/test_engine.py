@@ -41,6 +41,7 @@ from timefuse import (
     step_clock,
     tdev_curve,
 )
+from timefuse import harness
 from timefuse._util import centred_axis, slope_on_axis, slopes_on_axis, window_sums
 from timefuse.clocksim import ClockState
 from timefuse.fusion import LogOddsKernel, fused_log_odds
@@ -302,6 +303,28 @@ def test_runs_ending_at_and_around_block_edges_match_the_reference(n_epochs, met
         assert schedule.jump_epochs == {_BLOCK_EPOCHS + 1} | {2 * _BLOCK_EPOCHS + 1} & set(
             range(n_epochs)
         )
+    assert_engines_agree(scenario)
+
+
+@pytest.mark.parametrize("method", ["DS2", "DS0", "FTA", "Single"])
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_small_blocks_hand_each_method_state_over_at_every_edge(block, method, monkeypatch):
+    # each block edge hands the method's state, and the true drift, to the next block
+    monkeypatch.setattr(harness, "_BLOCK_EPOCHS", block)
+    scenario = Scenario(
+        name="small_blocks",
+        n_paths=3,
+        n_epochs=300,
+        method=method,
+        seed=6,
+        quarantine=2,
+        attack_rules=(
+            PeriodicAttackRule((1,), 40.0, 5.0, 10e-9, duration_epochs=3),
+            # path 1, the one Single watches: gaps in its windows
+            PeriodicAttackRule((0,), 50.0, 20.0, 10e-9),
+        ),
+        jump_rules=(PeriodicJumpRule(30.0, 29.0, 1e-9),),
+    )
     assert_engines_agree(scenario)
 
 

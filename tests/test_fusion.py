@@ -16,6 +16,7 @@ from timefuse import (
     FrequencyEstimate,
     MassPair,
     NoiseConfig,
+    Scenario,
     Verdict,
     bpa_from_residual,
     build_calibration_set,
@@ -319,6 +320,20 @@ class TestQuietBound:
         never_flags = LogOddsKernel(calib3, "DS2")
         never_flags.ceiling = never_flags.floor
         assert never_flags.quiet_bound == sys.float_info.max
+
+    def test_the_bisection_sets_its_own_numpy_error_state(self):
+        # one path's sigma at the bound and two near zero: the bisection's log-odds overflow
+        scenario = Scenario(
+            name="overflow",
+            n_paths=3,
+            n_epochs=10,
+            method="DS2",
+            sigma_link=(1e3, 1e-160, 1e-160),
+            sigma_meas=0.0,
+            sigma_offset=0.0,
+        )
+        kernel = LogOddsKernel(scenario.calibrations(), "DS2")
+        assert kernel.is_quiet([0.0, 0.0, 0.0], 0.0)
 
     def test_unknown_variant_rejected(self, calib3):
         with pytest.raises(ValueError, match="variant"):
