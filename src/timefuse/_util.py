@@ -146,6 +146,40 @@ def slopes_on_axis(axis: tuple, xs: np.ndarray, starts: np.ndarray) -> np.ndarra
     return sxy / sxx
 
 
+def settle(offsets: np.ndarray, steps: tuple, correction_of) -> np.ndarray:
+    """Solve a block's steering recurrence in place from a guess; return its corrections.
+
+    The clock's true offset advances as ``o[k+1] = (((o[k] + c[k]) +
+    dt[k+1]) + w[k+1]) + jump[k+1]``, where ``steps`` is ``(dt, w, jump)``
+    and the correction ``c[k]`` depends on ``o[k]`` alone:
+    ``correction_of(o[at], at)`` gives the corrections of epochs ``at``
+    (ascending indices) from their offsets, row by row.  ``offsets`` holds
+    a guess whose first value is exact.  The first pass corrects every
+    epoch; each round after it recomputes ``o[k+1]`` only where ``o[k]``
+    changed in the round before, compares by bit pattern and corrects
+    only the epochs that changed.  It stops when no bit changes.
+
+    A fixed point whose first offset is exact is the scalar loop's
+    trajectory, by induction on ``k``.  After round ``r`` the offsets up
+    to ``r`` are exact, so the solve makes at most ``len(offsets)`` calls
+    of ``correction_of`` for any guess, NaN and infinities included.
+    """
+    dt, noise, jumps = steps
+    last = len(offsets) - 1
+    at = np.arange(len(offsets))
+    corrections = correction_of(offsets, at)
+    while True:
+        at = at[at < last]
+        nxt = at + 1
+        new = (((offsets[at] + corrections[at]) + dt[nxt]) + noise[nxt]) + jumps[nxt]
+        moved = new.view(np.int64) != offsets[nxt].view(np.int64)
+        at = nxt[moved]
+        if not len(at):
+            return corrections
+        offsets[at] = new[moved]
+        corrections[at] = correction_of(offsets[at], at)
+
+
 def ols_slope(ts: Sequence[float], xs: Sequence[float]) -> float:
     """Ordinary least-squares slope of ``xs`` against ``ts``.
 

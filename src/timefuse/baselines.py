@@ -10,6 +10,7 @@ steered on directly or rejected in favour of holdover.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._dsloop import fill_reports
-from ._util import centred_axis, left_sum, ols_slope, slope_on_axis
+from ._util import centred_axis, left_sum, ols_slope, settle, slope_on_axis
 from .clocksim import NoiseConfig
 from .evidence import threshold_for_false_alarm
 
@@ -47,9 +48,23 @@ def fta_update(offsets: Sequence[float]) -> float:
     return -min(max(mean, kept[0]), kept[-1])
 
 
-def fta_kept_order(link, meas, attacks) -> np.ndarray:
-    """Each epoch's guess of the paths FTA keeps, in order: the reports less their offset sort so."""
-    return np.argsort(link + meas + attacks, axis=1, kind="stable")[:, 1:-1]
+def fta_corrections(paths, offsets, at) -> np.ndarray:
+    """:func:`fta_update` of the reports of epochs ``at``, given their true ``offsets``.
+
+    ``paths`` holds the block's link noise, measurement noise and attacks.
+    Each row is formed as the epoch loop forms it, then sorted stably,
+    its kept columns folded from ``+0.0`` and clamped by ``np.where`` in
+    the argument order of Python's ``max`` and ``min``, so every
+    correction is :func:`fta_update`'s, bit for bit.
+    """
+    link, meas, attacks = (c.take(at, axis=0) for c in paths)
+    kept = np.sort(((offsets[:, None] + link) + meas) + attacks, axis=1, kind="stable")[:, 1:-1]
+    total = np.zeros(len(kept))
+    for column in kept.T:
+        total += column
+    mean = total / kept.shape[1]
+    mean = np.where(kept[:, 0] > mean, kept[:, 0], mean)
+    return -np.where(kept[:, -1] < mean, kept[:, -1], mean)
 
 
 def fta_block(state, lo, steps, paths, out) -> tuple:
@@ -59,48 +74,24 @@ def fta_block(state, lo, steps, paths, out) -> tuple:
     epoch is ``lo``.  ``steps`` holds the block's true drift * tau, clock
     noise and jumps, ``paths`` its link noise, measurement noise and
     attacks, and ``out`` its offset, correction, report and flag columns;
-    FTA flags no path.  The loop forms only the reports that
-    :func:`fta_kept_order` guesses are kept.  One pass then runs
-    :func:`fta_update` on every row, and the loop runs again after the first
-    epoch whose correction differs in a bit, from that epoch's exact one.
+    FTA flags no path.  The first offset is exact from ``state``; every
+    later one is guessed ``0.0``, and :func:`~timefuse._util.settle`
+    solves the block in vectorised fixed-point rounds of
+    :func:`fta_corrections`.  A fixed point with an exact first offset is
+    the per-epoch loop's trajectory, and a block of L epochs settles
+    within L rounds.  A correction is ``-(offset + kept noise mean)`` up
+    to rounding, so an offset one ulp off is mostly exact an epoch later:
+    the 1,024-epoch blocks of ten six-hour fig5d runs settle in 5-19
+    rounds.
     """
     offset, correction = state
     offsets, corrections, reports, _ = out
-    n_kept = reports.shape[1] - 2
-    order = fta_kept_order(*paths)
-    kept = np.stack([np.take_along_axis(c, order, axis=1) for c in paths], axis=2)
-    rows = list(zip(*(c.tolist() for c in steps), kept.reshape(len(order), -1).tolist()))
-    start = 0
-    while True:
-        pass_offsets, pass_corrections = [], []
-        for dt, w_o, jump, row in rows[start:]:
-            offset = offset + correction + dt + w_o + jump
-            it = iter(row)
-            total = 0.0
-            for w, v, a in zip(it, it, it):
-                x = offset + w + v + a
-                total += x
-            # fta_update's clamp, between the first kept report and the last, x
-            correction = -min(max(total / n_kept, offset + row[0] + row[1] + row[2]), x)
-            pass_offsets.append(offset)
-            pass_corrections.append(correction)
-        offsets[start:], corrections[start:] = pass_offsets, pass_corrections
-        fill_reports(reports[start:], offsets[start:], *(c[start:] for c in paths))
-        # fta_update on every row: a stable sort, a fold from +0.0 and Python's max and min
-        kept = np.sort(reports[start:], axis=1, kind="stable")[:, 1:-1]
-        total = np.zeros(len(kept))
-        for column in kept.T:
-            total += column
-        mean = np.where(kept[:, 0] > total / n_kept, kept[:, 0], total / n_kept)
-        exact = -np.where(kept[:, -1] < mean, kept[:, -1], mean)
-        wrong = np.flatnonzero(exact.view(np.int64) != corrections[start:].view(np.int64))
-        if not len(wrong):
-            return offset, correction
-        # the corrections before it are exact, and so are its offset and reports
-        start += wrong[0].item()
-        offset, correction = offsets[start].item(), fta_update(reports[start].tolist())
-        corrections[start] = correction
-        start += 1
+    dt, noise, jumps = steps
+    offsets[0] = offset + correction + dt[0] + noise[0] + jumps[0]
+    offsets[1:] = 0.0
+    corrections[:] = settle(offsets, steps, functools.partial(fta_corrections, paths))
+    fill_reports(reports, offsets, *paths)
+    return offsets[-1].item(), corrections[-1].item()
 
 
 @dataclass(frozen=True)

@@ -671,10 +671,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
     accumulated steered offsets from strictly earlier epochs.  A DS block
     steers its *calm* epochs by the mean of all their reports, checks them
     in one vectorised pass after the block and runs the rest of the block
-    again on the exact path from the first one the kernel flags; an FTA
-    block forms only the reports it guesses are kept and checks every
-    correction against :func:`~timefuse.baselines.fta_update`.  So every
-    method's flags, corrections and log-odds are those of its exact path.
+    again on the exact path from the first one the kernel flags.  An FTA
+    block computes its first offset exactly and solves the rest of its
+    steering recurrence in vectorised fixed-point rounds
+    (:func:`~timefuse._util.settle`): a fixed point whose first offset is
+    exact is the per-epoch loop's trajectory, and a block of L epochs
+    settles within L rounds.  So every method's flags, corrections and
+    log-odds are those of its exact path.
     """
     n = scenario.n_paths
     n_epochs = scenario.n_epochs
