@@ -249,11 +249,12 @@ def test_settle_recomputes_only_the_epochs_whose_guess_moved():
         return baselines.fta_corrections(paths, values, at)
 
     assert same_bits(settle(solved.copy(), steps, counted), corrections)
-    # an exact guess is checked once and corrected once
+    # an exact guess costs one pass over the block and no round
     assert calls == [list(range(n_epochs))]
     calls.clear()
     solved[50] = np.nextafter(solved[50], np.inf)
     assert same_bits(settle(solved, steps, counted), corrections)
+    # a nudged epoch is recomputed from its exact predecessor, and nothing before it
     assert calls[0] == list(range(n_epochs)) and calls[1][0] == 50
     assert same_bits(solved, offsets)
 
