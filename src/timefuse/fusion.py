@@ -14,25 +14,9 @@ through the per-channel logistic shape, is clipped, and each row sums to
 its path's fused log-odds.  A path is flagged when that sum is strictly
 positive, i.e. when its fused attack mass exceeds one half.
 :class:`LogOddsKernel` does this for batches of epochs; the variant only
-picks its clip tables (``+-inf`` where it does not clip).
-
-Most epochs are quiet, and the kernel can prove it without running.
-Its ``quiet_bound`` is the largest residual ``r`` for which every row,
-with every cell's residual set to ``r``, sums to ``<= 0``.  An epoch
-whose spans ``max(x) - min(x)``, ``|max(x) - drift*tau|`` and
-``|min(x) - drift*tau|`` are all within it flags no path, exactly.
-IEEE rounding is monotone, so every cross residual is at most the first
-span and every self residual at most one of the other two.  Steepness
-is positive, so the log-odds, the clips and the float row sum are
-monotone in each residual too: each cell is at most its value at the
-bound, and each row sums to ``<= 0``.
-
-The same argument proves the other extreme.  Path i's ``loud_bound`` is
-the smallest self residual at which row i sums to ``> 0`` while every
-cross cell holds its value at residual 0, which is its minimum.  An
-epoch whose every self residual reaches its path's bound flags every
-path, exactly: its cross cells are at least their values at 0, its self
-cells at least their values at the bound, and the row sums are monotone.
+picks its clip tables (``+-inf`` where it does not clip).  The DS loop
+(:mod:`timefuse._dsloop`) runs it one epoch at a time only on the epochs
+it does not guess, and on whole blocks to check its guesses.
 
 The steering correction is the negated mean of the unflagged reports;
 when everything is flagged the clock coasts on the frequency estimate
@@ -44,10 +28,7 @@ by the caller.
 from __future__ import annotations
 
 import math
-import struct
-import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -273,7 +254,7 @@ class _Scratch:
 
 
 class LogOddsKernel:
-    """Fused log-odds of one DS variant for batches of epochs, with a quiet-epoch bound.
+    """Fused log-odds of one DS variant for batches of epochs.
 
     Built once per run.  The variant only picks the clip tables: DS0
     clips at ``[-inf, inf]``, DS1 at ``[-inf, log_ceiling]`` and DS2 at
@@ -340,111 +321,11 @@ class LogOddsKernel:
         np.abs(cells, out=cells)
         if not np.maximum.reduce(cells, axis=None) < math.inf:  # also false for NaN
             raise ValueError("residuals must be finite")
-        return self._clipped_sums(s)
-
-    def _clipped_sums(self, s: _Scratch) -> np.ndarray:
-        """Residuals to clipped log-odds in place, then each row's sum into ``s.sums``."""
-        cells = s.cells
         np.subtract(cells, self.midpoint, out=cells)
         np.multiply(cells, self.steepness, out=cells)
         np.minimum(cells, self.ceiling, out=cells)
         np.maximum(cells, self.floor, out=cells)
         return np.add.reduce(cells, axis=-1, out=s.sums)
-
-    @cached_property
-    def quiet_bound(self) -> float:
-        """Largest residual ``r`` at which no path can be flagged: the bound of :meth:`is_quiet`.
-
-        With every cell's residual set to ``r``, every row of clipped
-        log-odds sums to ``<= 0``.  The search bisects the bit patterns of
-        the non-negative doubles, whose order is their numeric order.  It
-        is ``-inf`` when a zero residual already flags a row, and the
-        largest finite double when not even an infinite one does.
-        """
-        scratch = self._epoch
-
-        def quiet(bits: int) -> bool:
-            scratch.cells.fill(_double(bits))
-            return bool(np.maximum.reduce(self._clipped_sums(scratch), axis=None) <= 0.0)
-
-        lo, hi = 0, _INF_BITS
-        with np.errstate(over="ignore"):  # huge residuals overflow to inf, as in the kernel
-            if not quiet(lo):
-                return -math.inf
-            if quiet(hi):
-                return sys.float_info.max
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if quiet(mid):
-                    lo = mid
-                else:
-                    hi = mid
-        return _double(lo)
-
-    @cached_property
-    def loud_bound(self) -> list:
-        """Per path, the smallest self residual that flags it however small its cross residuals.
-
-        Row i of the cells holds the self residual ``L_i`` on its diagonal
-        and residual 0 off it; ``L_i`` is the smallest such residual whose
-        clipped log-odds sum to ``> 0``.  Every row bisects at once, through
-        the kernel's own clip and row sum, over the same bit patterns as
-        :attr:`quiet_bound`.  ``L_i`` is ``0.0``
-        when a zero residual already flags row i, and ``inf`` when not
-        even an infinite one does.
-        """
-        scratch = self._epoch
-
-        def loud(bits: np.ndarray) -> np.ndarray:
-            scratch.cells.fill(0.0)
-            scratch.diagonal[...] = bits.view(np.float64)
-            return self._clipped_sums(scratch) > 0.0
-
-        lo = np.zeros(self.n, dtype=np.uint64)
-        hi = np.full(self.n, _INF_BITS, dtype=np.uint64)
-        with np.errstate(over="ignore"):  # huge residuals overflow to inf, as in the kernel
-            hi[loud(lo)] = 0
-            lo[~loud(hi)] = _INF_BITS
-            while (hi - lo).max() > 1:
-                mid = (lo + hi) >> 1
-                flagged = loud(mid)
-                hi = np.where(flagged, mid, hi)
-                lo = np.where(flagged, lo, mid)
-        return hi.view(np.float64).tolist()
-
-    def is_quiet(self, x: Sequence[float], drift_tau: float) -> bool:
-        """True when no path of reports ``x`` can be flagged, so the kernel can be skipped.
-
-        The three spans bound every residual of the epoch (see the module
-        docstring for why that is exact).  The comparisons are false for
-        NaN and infinite spans, which then reach the kernel and its
-        finiteness check.  ``x`` must not be partly NaN: ``max`` and
-        ``min`` pass over a NaN that does not come first.
-        """
-        top = max(x)
-        bottom = min(x)
-        r = self.quiet_bound
-        return top - bottom <= r and abs(top - drift_tau) <= r and abs(bottom - drift_tau) <= r
-
-    def is_loud(self, x: Sequence[float], drift_tau: float) -> bool:
-        """True when every path of reports ``x`` is flagged, so the kernel can be skipped.
-
-        Every self residual must reach its :attr:`loud_bound` and be
-        finite, and so must the span of ``x``, which bounds every cross
-        residual: a NaN or infinite residual reaches the kernel and its
-        finiteness check.
-        """
-        return all(
-            b <= abs(o - drift_tau) < math.inf for o, b in zip(x, self.loud_bound)
-        ) and max(x) - min(x) < math.inf
-
-
-_INF_BITS = 0x7FF0000000000000
-
-
-def _double(bits: int) -> float:
-    """The double whose IEEE 754 bit pattern is ``bits``."""
-    return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
 def fused_log_odds(

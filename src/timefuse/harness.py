@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from ._csvrows import RowKernel
-from ._dsloop import DsRun, DsState, ds_block
+from ._dsloop import MIXED, DsRun, DsState, ds_block
 from ._util import centred_axis, logistic
 from .baselines import fta_block, single_block, single_residual_sigma
 from .clocksim import (
@@ -669,9 +669,12 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     The fused detector fits the frequency over a window of the
     accumulated steered offsets from strictly earlier epochs.  A DS block
-    steers its *calm* epochs by the mean of all their reports, checks them
-    in one vectorised pass after the block and runs the rest of the block
-    again on the exact path from the first one the kernel flags.  An FTA
+    guesses each epoch past the warm-up that is not an event (an attack
+    or a clock jump) from the verdict of the last non-event epoch: *calm*
+    (every report kept) after one that flagged no path, with no path in
+    quarantine, and *locked* (holdover) after one that flagged every
+    path.  One vectorised pass after the block checks the guesses, and
+    the block runs again from the first that fails, exact there.  An FTA
     block computes its first offset exactly and solves the rest of its
     steering recurrence in vectorised fixed-point rounds
     (:func:`~timefuse._util.settle`): a fixed point whose first offset is
@@ -704,7 +707,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         kernel = LogOddsKernel(scenario.calibrations(), method)
         ds = DsRun(kernel, tau, window, time_axis, full_axis, scenario.quarantine)
         step = functools.partial(ds_block, ds)
-        state = DsState(0.0, 0.0, 0.0, deque(), [0] * n, True)
+        state = DsState(0.0, 0.0, 0.0, deque(), [0] * n, MIXED)
     elif method == "FTA":
         step, state = fta_block, (0.0, 0.0)
     else:

@@ -11,6 +11,7 @@ agree bit for bit.
 import io
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from timefuse import (
     METHODS,
+    PRESET_NAMES,
     VACUOUS,
     VARIANTS,
     DetectionCounts,
@@ -35,13 +37,14 @@ from timefuse import (
     fta_update,
     make_single_state,
     observe_path,
+    preset,
     run_csv_text,
     run_scenario,
     single_update,
     step_clock,
     tdev_curve,
 )
-from timefuse import harness
+from timefuse import _dsloop, harness
 from timefuse._util import centred_axis, slope_on_axis, slopes_on_axis, window_sums
 from timefuse.clocksim import ClockState
 from timefuse.fusion import LogOddsKernel, fused_log_odds
@@ -496,3 +499,90 @@ def test_blocks_with_flagged_calm_epochs_rerun_on_the_exact_path(method, quarant
     reference = reference_run(scenario)
     assert len(flagged_calm_blocks(scenario, reference[0])) >= 2
     assert_engines_agree(scenario, reference)
+
+
+def locked_guesses(scenario, records) -> list:
+    """Epochs that the engine steers as locked and that do not flag every path.
+
+    Past the warm-up window, an epoch with no attack and no clock jump is
+    locked when the last such epoch before it flagged every path.
+    """
+    schedule = scenario.schedule()
+    events = (schedule.jumps != 0.0) | schedule.attacks.any(axis=1)
+    verdict, wrong = None, []
+    for r in records:
+        if events[r.epoch]:
+            continue
+        flagged = [v.flagged for v in r.verdicts]
+        if r.epoch >= scenario.window and verdict == "all" and not all(flagged):
+            wrong.append(r.epoch)
+        verdict = "all" if all(flagged) else "none" if not any(flagged) else "some"
+    return wrong
+
+
+def test_a_failed_locked_guess_restores_the_quarantine_counters():
+    # DS0 locks out at fig5c's first clock jump; at seed 7 it lets a path
+    # back in at epoch 2213, a locked epoch whose paths are all in quarantine
+    scenario = replace(preset("fig5c", method="DS0", seed=7), quarantine=2)
+    reference = reference_run(scenario)
+    assert locked_guesses(scenario, reference[0])[0] == 2213
+    assert_engines_agree(scenario, reference)
+
+
+@pytest.mark.parametrize("quarantine", [0, 2])
+def test_a_lock_out_that_starts_and_ends_inside_one_block(quarantine):
+    # a clock jump at epoch 100 locks DS0 out and its reverse at 110 ends it;
+    # epoch 111 is locked by the verdict of epoch 109 and flags no path
+    scenario = Scenario(
+        name="lockout",
+        n_paths=3,
+        n_epochs=300,
+        method="DS0",
+        seed=1,
+        quarantine=quarantine,
+        jump_rules=(PeriodicJumpRule(1000.0, 100.0, 1e-9), PeriodicJumpRule(1000.0, 110.0, -1e-9)),
+    )
+    reference = reference_run(scenario)
+    flagged = [e for e, r in enumerate(reference[0]) if any(v.flagged for v in r.verdicts)]
+    assert flagged == list(range(100, 110))
+    assert locked_guesses(scenario, reference[0]) == [111]
+    assert_engines_agree(scenario, reference)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_guessed_epochs_rarely_run_twice(seed, monkeypatch):
+    # the DS0 runs of the jump presets take one extra ds_epochs pass, five at
+    # seed 7; every other preset or 20-path DS run takes one pass a block
+    passes = [0]
+    ds_epochs = _dsloop.ds_epochs
+
+    def counted(*args):
+        passes[0] += 1
+        return ds_epochs(*args)
+
+    monkeypatch.setattr(_dsloop, "ds_epochs", counted)
+    attacks = tuple(
+        PeriodicAttackRule(paths=(i,), period_s=50.0, phase_s=2.0 * i, magnitude_s=10e-9)
+        for i in range(20)
+    )
+    scenarios = [preset(name, method=m, seed=seed) for name in PRESET_NAMES for m in VARIANTS]
+    scenarios += [
+        Scenario(
+            name="wide20",
+            n_paths=20,
+            n_epochs=1000,
+            method=method,
+            seed=seed,
+            attack_rules=attacks,
+        )
+        for method in ("DS2", "DS0")
+    ]
+    extra = {}
+    for scenario in scenarios:
+        passes[0] = 0
+        run_scenario(scenario)
+        blocks = -(-scenario.n_epochs // _BLOCK_EPOCHS)
+        if passes[0] != blocks:
+            extra[scenario.name, scenario.method] = passes[0] - blocks
+    lock_out = 5 if seed == 7 else 1
+    assert extra == {(name, "DS0"): lock_out for name in ("fig5c", "fig5d", "exp3")}

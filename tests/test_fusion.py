@@ -2,7 +2,6 @@
 
 import math
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from timefuse import (
     FrequencyEstimate,
     MassPair,
     NoiseConfig,
-    Scenario,
     Verdict,
     bpa_from_residual,
     build_calibration_set,
@@ -234,118 +232,12 @@ class TestKernelMatchesScalarReference:
             assert v.fused.attack == pytest.approx(f.attack, abs=1e-9)
 
 
-def uniform_residual_sums(calibrations, variant, r):
-    """Every row's clipped log-odds sum when every cell's residual is ``r``."""
-    cells = np.full(calibrations.midpoint.shape, r) - calibrations.midpoint
-    cells *= calibrations.steepness
-    if variant != "DS0":
-        cells = np.minimum(cells, calibrations.log_ceiling)
-    if variant == "DS2":
-        cells = np.maximum(cells, calibrations.log_floor)
-    return cells.sum(axis=1)
-
-
-@st.composite
-def epochs_near_the_bound(draw, widest=2.0):
-    """A detector, its kernel, and reports and drift * tau within ``widest`` times its bound."""
-    _, calib, _, variant = draw(detector_inputs())
-    kernel = LogOddsKernel(calib, variant)
-    r = kernel.quiet_bound
-    n = len(calib.self_cal)
-    bottom = draw(st.floats(-3e-10, 3e-10))
-    # residuals exactly at the bound and just past it are where rounding matters most
-    edges = [e for e in (0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0) if e <= widest]
-    share = st.one_of(st.sampled_from(edges), st.floats(0.0, widest))
-    x = [bottom + draw(share) * r for _ in range(n)]
-    drift_tau = bottom + draw(share) * r
-    return calib, variant, kernel, x, drift_tau
-
-
-class TestQuietBound:
-    """``LogOddsKernel.is_quiet`` proves an epoch flag-free without running the kernel."""
-
-    @settings(max_examples=300)
-    @given(epochs_near_the_bound())
-    def test_quiet_means_every_residual_is_within_the_bound(self, epoch):
-        _, _, kernel, x, drift_tau = epoch
-        residuals = [r for i in range(len(x)) for r in residuals_for_path(i, x, drift_tau, 1.0)]
-        assert kernel.is_quiet(x, drift_tau) == (max(residuals) <= kernel.quiet_bound)
-
-    @settings(max_examples=300)
-    @given(epochs_near_the_bound(widest=1.0))
-    def test_a_quiet_epoch_flags_no_path(self, epoch):
-        calib, variant, kernel, x, drift_tau = epoch
-        assume(kernel.is_quiet(x, drift_tau))
-        sums = fused_log_odds(x, calib, drift_tau, 1.0, variant)
-        assert (sums <= 0.0).all()
-
-    @settings(max_examples=150)
-    @given(detector_inputs())
-    def test_the_bound_is_the_largest_quiet_residual(self, inputs):
-        _, calib, _, variant = inputs
-        kernel = LogOddsKernel(calib, variant)
-        r = kernel.quiet_bound
-        above = math.nextafter(r, math.inf)
-        assert 0.0 < r < math.inf
-        assert (uniform_residual_sums(calib, variant, r) <= 0.0).all()
-        flagged_rows = uniform_residual_sums(calib, variant, above) > 0.0
-        assert flagged_rows.any()
-        # path k at 0, every other path and drift * tau at the span: every
-        # residual of row k equals the span
-        k = int(np.argmax(flagged_rows))
-        for span, flags in ((r, False), (above, True)):
-            x = [span] * len(calib.self_cal)
-            x[k] = 0.0
-            assert kernel.is_quiet(x, span) is not flags
-            assert (fused_log_odds(x, calib, span, 1.0, variant)[k] > 0.0) == flags
-
-    @settings(max_examples=100)
-    @given(epochs_near_the_bound(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
-    def test_non_finite_reports_or_drift_never_pass(self, epoch, bad, data):
-        _, _, kernel, x, drift_tau = epoch
-        assert not kernel.is_quiet(x, bad)
-        # the engine's reports share one clock offset, so a NaN report makes them all NaN
-        if math.isnan(bad):
-            assert not kernel.is_quiet([bad] * len(x), drift_tau)
-        else:
-            x[data.draw(st.integers(0, len(x) - 1))] = bad
-            assert not kernel.is_quiet(x, drift_tau)
-            assert not kernel.is_quiet([bad] * len(x), drift_tau)
-
-    def test_a_bound_that_cannot_bisect_is_an_endpoint(self, calib3):
-        flags_at_zero = LogOddsKernel(calib3, "DS2")
-        flags_at_zero.midpoint = -calib3.midpoint
-        assert flags_at_zero.quiet_bound == -math.inf
-        assert not flags_at_zero.is_quiet([0.0] * 3, 0.0)
-        never_flags = LogOddsKernel(calib3, "DS2")
-        never_flags.ceiling = never_flags.floor
-        assert never_flags.quiet_bound == sys.float_info.max
-
-    def test_the_bisection_sets_its_own_numpy_error_state(self):
-        # one path's sigma at the bound and two near zero: the bisection's log-odds overflow
-        scenario = Scenario(
-            name="overflow",
-            n_paths=3,
-            n_epochs=10,
-            method="DS2",
-            sigma_link=(1e3, 1e-160, 1e-160),
-            sigma_meas=0.0,
-            sigma_offset=0.0,
-        )
-        kernel = LogOddsKernel(scenario.calibrations(), "DS2")
-        assert kernel.is_quiet([0.0, 0.0, 0.0], 0.0)
-
-    def test_unknown_variant_rejected(self, calib3):
-        with pytest.raises(ValueError, match="variant"):
-            LogOddsKernel(calib3, "majority")
-
-
 class TestKernelRowsStandAlone:
     """A row's log-odds do not depend on the batch it is computed in.
 
     The engine runs the kernel one block of epochs at a time, and steers
-    an epoch that is not quiet by :meth:`LogOddsKernel.epoch_sums`; both
-    must give the row that a call on the whole run gives.
+    an exact epoch by :meth:`LogOddsKernel.epoch_sums`; both must give
+    the row that a call on the whole run gives.
     """
 
     @settings(max_examples=60, deadline=None)
@@ -380,101 +272,20 @@ class TestKernelRowsStandAlone:
                 epoch = np.array(kernel.epoch_sums(x[row].tolist(), drift_tau[row].item()))
                 assert epoch.tobytes() == sums[row].tobytes()
 
-
-@st.composite
-def epochs_near_the_loud_bound(draw, lowest=0.0):
-    """A detector whose paths can all be loud, its kernel, and reports about that far out.
-
-    Each self residual is at least ``lowest`` times its path's bound, before rounding.
-    """
-    _, calib, _, variant = draw(detector_inputs())
-    kernel = LogOddsKernel(calib, variant)
-    bounds = kernel.loud_bound
-    assume(max(bounds) < math.inf)
-    drift_tau = draw(st.floats(-3e-10, 3e-10))
-    # self residuals exactly at the bound and one rounding step either side matter most
-    edges = [e for e in (0.0, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0) if e >= lowest]
-    share = st.one_of(st.sampled_from(edges), st.floats(lowest, 3.0))
-    x = [drift_tau + draw(st.sampled_from([-1.0, 1.0])) * draw(share) * b for b in bounds]
-    return calib, variant, kernel, x, drift_tau
-
-
-class TestLoudBound:
-    """``LogOddsKernel.is_loud`` proves every path flagged without running the kernel."""
-
-    @settings(max_examples=300)
-    @given(epochs_near_the_loud_bound())
-    def test_loud_means_every_self_residual_reaches_its_bound(self, epoch):
-        _, _, kernel, x, drift_tau = epoch
-        reached = all(b <= abs(o - drift_tau) for o, b in zip(x, kernel.loud_bound))
-        assert kernel.is_loud(x, drift_tau) == reached
-
-    @settings(max_examples=300)
-    @given(epochs_near_the_loud_bound(lowest=1.0))
-    def test_a_loud_epoch_flags_every_path(self, epoch):
-        calib, variant, kernel, x, drift_tau = epoch
-        assume(kernel.is_loud(x, drift_tau))
-        assert (fused_log_odds(x, calib, drift_tau, 1.0, variant) > 0.0).all()
-        # the engine's flags come from the kernel's pass over the whole run
-        assert (kernel(np.array([x]), np.array([drift_tau])) > 0.0).all()
-
-    @settings(max_examples=150)
-    @given(detector_inputs())
-    def test_the_bound_is_the_smallest_loud_self_residual(self, inputs):
-        _, calib, _, variant = inputs
-        kernel = LogOddsKernel(calib, variant)
-        n = len(calib.self_cal)
-        for i, bound in enumerate(kernel.loud_bound):
-            assert 0.0 < bound
-            if bound == math.inf:  # the clamps keep row i from ever summing above 0
-                assert not kernel.is_loud([0.0] * n, -sys.float_info.max)
-                continue
-            # every report at 0 and drift * tau at -r: each self residual is r, each cross 0
-            below = math.nextafter(bound, 0.0)
-            assert fused_log_odds([0.0] * n, calib, -bound, 1.0, variant)[i] > 0.0
-            assert fused_log_odds([0.0] * n, calib, -below, 1.0, variant)[i] <= 0.0
-            assert not kernel.is_loud([0.0] * n, -below)
-
-    @settings(max_examples=100)
-    @given(epochs_near_the_loud_bound(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
-    def test_non_finite_reports_or_drift_never_pass(self, epoch, bad, data):
-        _, _, kernel, x, drift_tau = epoch
-        assert not kernel.is_loud(x, bad)
-        assert not kernel.is_loud([bad] * len(x), drift_tau)
-        x[data.draw(st.integers(0, len(x) - 1))] = bad
-        assert not kernel.is_loud(x, drift_tau)
+    def test_unknown_variant_rejected(self, calib3):
+        with pytest.raises(ValueError, match="variant"):
+            LogOddsKernel(calib3, "majority")
 
     def test_an_infinite_cross_residual_reaches_the_kernel(self, calib3):
         kernel = LogOddsKernel(calib3, "DS0")
+        # the self residuals are finite; x[0] - x[1] is not
         x = [sys.float_info.max, -sys.float_info.max, 0.0]
-        # the self residuals are finite and far past the bound; x[0] - x[1] is not
-        assert not kernel.is_loud(x, 1.0)
         # neither the one-epoch nor the batch kernel warns before it raises
         with pytest.raises(ValueError, match="residuals must be finite"):
             fused_log_odds(x, calib3, 1.0, 1.0, "DS0")
         with pytest.raises(ValueError, match="residuals must be finite"):
             kernel(np.array([x]), np.array([1.0]))
 
-    def test_a_bound_near_the_top_of_the_float_range_bisects_quietly(self, calib3):
-        # each cross cell is -1e301 at residual 0, so a row is loud past a self
-        # residual of ~1e291, and the bisection tries residuals near 1e299
-        # whose log-odds overflow to inf
-        kernel = LogOddsKernel(calib3, "DS0")
-        kernel.midpoint = np.full((3, 3), 1e301) / calib3.steepness
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bounds = kernel.loud_bound
-        assert all(1e290 < b < 1e292 for b in bounds)
-
-    def test_a_bound_that_cannot_bisect_is_an_endpoint(self, calib3):
-        flags_at_zero = LogOddsKernel(calib3, "DS2")
-        flags_at_zero.midpoint = -calib3.midpoint
-        assert flags_at_zero.loud_bound == [0.0] * 3
-        assert flags_at_zero.is_loud([0.0] * 3, 0.0)
-        never_flags = LogOddsKernel(calib3, "DS0")
-        never_flags.ceiling = never_flags.floor = np.full((3, 3), -1.0)
-        assert never_flags.loud_bound == [math.inf] * 3
-        assert not never_flags.is_loud([0.0, 1e300, -1e300], 0.0)
 
 
 class TestComputeUpdate:
